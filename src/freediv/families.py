@@ -42,6 +42,7 @@ from .poly import (
     poly_gcd,
     poly_to_str,
     squarefree_gcd,
+    squarefree_on_line,
     substitute,
 )
 from .matrices import InternalCheckError, PolyMatrix, block_diagonal, matrix_star
@@ -728,11 +729,14 @@ def compose_factors(
     The outer frame must be square with every row divisible by its own
     variable; the substituents must admit a strict frame (one scalar diagonal
     column per factor, every other column annihilating all factors), passed
-    as ``frame``.  Reducedness of the substituted divisor is checked twice,
-    independently: factor-wise gcds against the substituted cofactor (raising
+    as ``frame``.  Reducedness of the substituted divisor is proved once, by
+    the line certificate of :func:`squarefree_on_line` on the full product.
+    Only when that certificate is not obtained do the exact checks run:
+    factor-wise gcds against the substituted cofactor (raising
     :class:`CommonFactorError` with the offending factor), then a squarefree
-    test of the full product.  Both run *before* the frame is consulted, so a
-    non-reduced substitution is reported even when no frame exists.
+    test of the full product.  All of this runs *before* the frame is
+    consulted, so a non-reduced substitution is reported even when no frame
+    exists.
     """
     factors = tuple(factors)
     k = outer.ctx.nvars
@@ -754,24 +758,26 @@ def compose_factors(
             "the outer divisor must be divisible by the product of its variables"
         )
     substituted = substitute(outer.product, factors)
-    cofactor_sub = substitute(cofactor, factors)
-    for i, fi in enumerate(factors):
-        shared = poly_gcd(fi, cofactor_sub)
-        if not shared.is_constant():
-            shared = _normalize_witness(shared)
-            raise CommonFactorError(
-                shared,
-                substituted,
-                f"substituent {i} shares the factor {poly_to_str(shared)} with the "
-                "substituted cofactor; the substituted divisor is not reduced",
+    if not squarefree_on_line(substituted):
+        cofactor_sub = substitute(cofactor, factors)
+        for i, fi in enumerate(factors):
+            shared = poly_gcd(fi, cofactor_sub)
+            if not shared.is_constant():
+                shared = _normalize_witness(shared)
+                raise CommonFactorError(
+                    shared,
+                    substituted,
+                    f"substituent {i} shares the factor {poly_to_str(shared)} with the "
+                    "substituted cofactor; the substituted divisor is not reduced",
+                )
+        sq = squarefree_gcd(substituted)
+        if not sq.is_constant():
+            raise VerificationError(
+                "not_squarefree",
+                f"the substituted divisor is not reduced; repeated factor witness "
+                f"{poly_to_str(sq)}",
+                witness=sq,
             )
-    sq = squarefree_gcd(substituted)
-    if not sq.is_constant():
-        raise VerificationError(
-            "not_squarefree",
-            f"the substituted divisor is not reduced; repeated factor witness {poly_to_str(sq)}",
-            witness=sq,
-        )
     if frame is None:
         raise PreconditionError(
             "a strict frame for the substituents is required (a scalar diagonal "

@@ -55,6 +55,27 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     return m, pivots
 
 
+def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix by Gaussian elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                factor = m[i][c] * inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
+    return det
+
+
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[1])
 

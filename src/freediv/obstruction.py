@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import Poly, poly_to_str, substitute
-from .linalg import graded_membership, rref, solve_linear
+from .linalg import fraction_det, graded_membership, rref, solve_linear
 from .saito import (
     PreconditionError,
     xifi_generators,
@@ -113,26 +113,6 @@ class SmoothnessRefutedError(PreconditionError):
 # ---------------------------------------------------------------------------
 # scalar matrix helpers
 # ---------------------------------------------------------------------------
-
-
-def _fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [[Fraction(x) for x in r] for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                factor = m[i][c] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 def _fraction_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
@@ -285,7 +265,7 @@ def exponent_independence(f: Poly) -> ExponentIndependence:
         [Fraction((k - 1) * (r == i) + (r == j_map[i])) for i in range(n)]
         for r in range(n)
     ]
-    det = _fraction_det(matrix)
+    det = fraction_det(matrix)
     _, pivots = rref(matrix)
     if (det != 0) != (len(pivots) == n):
         raise InternalCheckError(
@@ -366,7 +346,7 @@ def smooth_times_nc_verdict(
         if ell.ctx != ctx:
             raise PreconditionError("the linear forms must share the form's context")
     coeff_rows = [_linear_form_coefficients(ell) for ell in ells]
-    det_l = _fraction_det(coeff_rows)
+    det_l = fraction_det(coeff_rows)
     if det_l == 0:
         raise PreconditionError("the linear forms are linearly dependent")
     candidate = f

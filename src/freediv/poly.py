@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 Exponent = tuple[int, ...]
@@ -311,6 +311,30 @@ class Poly:
     def gradient(self) -> tuple["Poly", ...]:
         return tuple(self.derivative(i) for i in range(self.ctx.nvars))
 
+    def evaluate(self, point: Sequence, modulus: int | None = None):
+        """Value at a point: an exact Fraction, or with `modulus` the value in
+        Z/modulus as an int (then every coefficient must be an integer)."""
+        if len(point) != self.ctx.nvars:
+            raise PolyError(f"{self.ctx.nvars} coordinates required, got {len(point)}")
+        if modulus is not None and any(c.denominator != 1 for c in self.terms.values()):
+            raise PolyError("modular evaluation needs integer coefficients")
+        powers: list[dict[int, object]] = [{} for _ in point]
+        total = 0
+        for e, c in self.terms.items():
+            m = 1
+            for i, k in enumerate(e):
+                if k:
+                    pw = powers[i].get(k)
+                    if pw is None:
+                        pw = point[i] ** k if modulus is None else pow(point[i], k, modulus)
+                        powers[i][k] = pw
+                    m = m * pw
+            if modulus is None:
+                total += c * m
+            else:
+                total += c.numerator * m % modulus
+        return Fraction(total) if modulus is None else total % modulus
+
     def euler_apply(self, weights: Sequence) -> "Poly":
         """Apply the weighted Euler operator sum_i w_i x_i d/dx_i (term-wise scaling)."""
         w = [Fraction(x) for x in weights]
@@ -574,15 +598,99 @@ def _uni_content(coeffs: list[Poly]) -> Poly:
     return normalize_primitive(g)
 
 
+def sample_ints(count: int, bound: int, salt: int = 0) -> list[int]:
+    """`count` integers in [1, bound] from a fixed 64-bit linear congruential
+    sequence selected by `salt`: the same values on every run and platform."""
+    x = 0x9E3779B97F4A7C15 ^ salt
+    out = []
+    for _ in range(count):
+        x = (x * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+        out.append(1 + (x >> 11) % bound)
+    return out
+
+
+# the prime of the line certificate (2^61 - 1, a Mersenne prime)
+LINE_PRIME = (1 << 61) - 1
+
+
+def _interpolate_mod(values: list[int], p: int) -> list[int]:
+    """Coefficients (constant first) of the polynomial of degree < len(values)
+    over F_p taking values[t] at t = 0, 1, ...: Newton divided differences."""
+    c = list(values)
+    d = len(c) - 1
+    for j in range(1, d + 1):
+        inv = pow(j, -1, p)
+        for i in range(d, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    u = [c[d]]
+    for k in range(d - 1, -1, -1):
+        # u := u * (t - k) + c[k]
+        u = ([(c[k] - k * u[0]) % p]
+             + [(u[i - 1] - k * u[i]) % p for i in range(1, len(u))]
+             + [u[-1]])
+    return u
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd in F_p[t] of two coefficient lists (constant first), trimmed."""
+    def trim(u):
+        while u and u[-1] == 0:
+            u.pop()
+        return u
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for k, bk in enumerate(b):
+                a[shift + k] = (a[shift + k] - q * bk) % p
+            trim(a)
+        a, b = b, a
+    return a
+
+
+def squarefree_on_line(f: Poly) -> bool:
+    """One-sided exact test: True proves f nonzero and squarefree over Q.
+
+    The integer multiple F of f is restricted to the fixed line a + t*b modulo
+    LINE_PRIME.  True means U(t) = F(a + t*b) keeps the total degree of f and
+    gcd(U, U') is constant in F_p[t].  That proves f squarefree: were g a
+    repeated factor, Gauss's lemma gives F = c * G^2 * H over Z with G of
+    positive degree, the kept top coefficient c * G_top(b)^2 * H_top(b) keeps
+    G(a + t*b) at that degree mod p, and U would have a square factor.  False
+    proves nothing (an unlucky line, or p dividing the content of F), and is
+    the answer for f = 0.
+    """
+    if f.is_zero():
+        return False
+    p = LINE_PRIME
+    n = f.ctx.nvars
+    d = f.total_degree()
+    F = f.scale(lcm(*(c.denominator for c in f.terms.values())))
+    line = sample_ints(2 * n, p - 1)
+    a, b = line[:n], line[n:]
+    values = [F.evaluate([(x + t * y) % p for x, y in zip(a, b)], p) for t in range(d + 1)]
+    u = _interpolate_mod(values, p)
+    if u[d] == 0:
+        return False
+    du = [k * u[k] % p for k in range(1, d + 1)]
+    return len(_gcd_mod(u, du, p)) == 1
+
+
 def squarefree_gcd(f: Poly) -> Poly:
     """gcd(f, df/dx_1, ..., df/dx_n): constant exactly when f is squarefree.
 
-    Partials are folded in ascending size with an early exit, so the witness
+    A squarefree f certified by squarefree_on_line gets the constant 1, the
+    value the gcd itself takes, without any multivariate gcd.  Otherwise the
+    partials are folded in ascending size with an early exit, so the witness
     for squarefree inputs is a constant reached as soon as possible.
     """
     if f.is_zero():
         raise PolyError("squarefreeness of the zero polynomial is undefined")
     if f.is_constant():
+        return f.ctx.const(1)
+    if squarefree_on_line(f):
         return f.ctx.const(1)
     g = f
     partials = [d for d in f.gradient() if not d.is_zero()]

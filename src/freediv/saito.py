@@ -4,7 +4,20 @@ A square matrix A over R = Q[x_1..x_n] certifies that a reduced f is a free
 divisor when (i) f is squarefree, (ii) det A = c * f for a nonzero rational c,
 and (iii) every column D of A is logarithmic: D(f) = (grad f) . D lies in (f).
 verify_saito checks all three exactly and returns a SaitoCertificate, or
-raises VerificationError pinpointing the first violated condition.
+raises VerificationError pinpointing the first violated condition, in that
+order.
+
+(i) is proved by squarefree_gcd, which first tries the one-sided line
+certificate of poly.squarefree_on_line and falls back to the multivariate gcd.
+(iii) is checked by exact division.  For (ii), Saito's lemma (K. Saito,
+"Theory of logarithmic differential forms and logarithmic vector fields",
+J. Fac. Sci. Univ. Tokyo 27, 1980, (1.8)) gives f | det A once (i) and (iii)
+hold; when in addition the degree bound min(sum_j max_i deg A_ij,
+sum_i max_j deg A_ij) is at most deg f, det A = c * f with c constant, and c
+is read exactly as det A(p) / f(p) at a fixed rational point p with
+f(p) != 0.  Otherwise (bound too large, c = 0, no such point among the fixed
+candidates, or a column not logarithmic) det A is expanded by the Bareiss /
+cofactor determinant, exactly as without the lemma.
 
 A FramedDivisor couples a factored divisor with a verified Saito matrix plus
 the exact per-column, per-factor logarithmic multipliers.  euler_frame
@@ -19,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .linalg import bounded_syzygy_solve, default_syzygy_bound
+from .linalg import bounded_syzygy_solve, default_syzygy_bound, fraction_det
 from .matrices import PolyMatrix, hstack, matrix_to_json
 from .poly import (
     Context,
@@ -28,7 +41,9 @@ from .poly import (
     divide_exact,
     poly_to_str,
     product_squarefree,
+    sample_ints,
     squarefree_gcd,
+    squarefree_on_line,
 )
 
 
@@ -68,8 +83,38 @@ class SaitoCertificate:
     squarefree_witness: Poly             # constant gcd(f, partials)
 
 
+# evaluation points for the determinant: coordinates in [1, _POINT_BOUND],
+# at most _POINT_TRIES candidates before the polynomial determinant is used
+_POINT_BOUND = 97
+_POINT_TRIES = 4
+
+
+def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix) -> Fraction | None:
+    """c with det A = c * f for a reduced f and logarithmic columns, or None.
+
+    Saito's lemma gives f | det A.  If every term of det A has degree at most
+    deg f (the row and column degree bounds), the quotient is a constant c,
+    and c = det A(p) / f(p) at any point with f(p) != 0.  None when the bound
+    fails, no candidate point has f(p) != 0, or c = 0.
+    """
+    degs = [[0 if a.is_zero() else a.total_degree() for a in row] for row in matrix.rows]
+    bound = min(sum(max(col) for col in zip(*degs)), sum(max(row) for row in degs))
+    if bound > f.total_degree():
+        return None
+    for salt in range(_POINT_TRIES):
+        point = sample_ints(f.ctx.nvars, _POINT_BOUND, salt)
+        at_f = f.evaluate(point)
+        if at_f:
+            at_det = fraction_det([[a.evaluate(point) for a in row] for row in matrix.rows])
+            return at_det / at_f if at_det else None
+    return None
+
+
 def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
-    """Check Saito's criterion exactly; raise VerificationError on failure."""
+    """Check Saito's criterion exactly; raise VerificationError on failure.
+
+    The determinant error takes precedence over the column error, as the
+    criterion lists them, although the columns are checked first."""
     if f.is_zero() or f.is_constant():
         raise PreconditionError("the divisor must be nonzero and nonconstant")
     n = f.ctx.nvars
@@ -84,15 +129,9 @@ def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
             f"divisor has the repeated factor witness {poly_to_str(witness)}",
             witness=witness,
         )
-    det = matrix.det()
-    scalar = divide_exact(det, f)
-    if scalar is None or not scalar.is_constant() or scalar.is_zero():
-        raise VerificationError(
-            "det_mismatch",
-            f"determinant {poly_to_str(det)} is not a nonzero rational multiple of the divisor",
-        )
     grad = f.gradient()
     quotients = []
+    failed = None
     for j in range(n):
         applied = f.ctx.zero()
         for i in range(n):
@@ -101,14 +140,28 @@ def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
                 applied = applied + g * a
         q = divide_exact(applied, f)
         if q is None:
-            raise VerificationError(
-                "not_logarithmic",
-                f"column {j} applied to the divisor gives {poly_to_str(applied)}, "
-                f"not a multiple of the divisor",
-                column=j,
-            )
+            failed = (j, applied)
+            break
         quotients.append(q)
-    return SaitoCertificate(f, matrix, scalar.constant_value(), tuple(quotients), witness)
+    scalar = None if failed else _det_scalar_by_lemma(f, matrix)
+    if scalar is None:
+        det = matrix.det()
+        quotient = divide_exact(det, f)
+        if quotient is None or not quotient.is_constant() or quotient.is_zero():
+            raise VerificationError(
+                "det_mismatch",
+                f"determinant {poly_to_str(det)} is not a nonzero rational multiple of the divisor",
+            )
+        scalar = quotient.constant_value()
+    if failed:
+        j, applied = failed
+        raise VerificationError(
+            "not_logarithmic",
+            f"column {j} applied to the divisor gives {poly_to_str(applied)}, "
+            f"not a multiple of the divisor",
+            column=j,
+        )
+    return SaitoCertificate(f, matrix, scalar, tuple(quotients), witness)
 
 
 def certificate_to_json(cert: SaitoCertificate) -> dict:
@@ -160,16 +213,18 @@ def frame_divisor(factors: Sequence[Poly], matrix: PolyMatrix,
     factors = tuple(factors)
     if not factors:
         raise PreconditionError("at least one factor required")
-    ok, offender = product_squarefree(factors)
-    if not ok:
-        raise VerificationError(
-            "not_squarefree",
-            f"factor list is not squarefree/coprime; witness {poly_to_str(offender)}",
-            witness=offender,
-        )
     product = factors[0]
     for g in factors[1:]:
         product = product * g
+    if not squarefree_on_line(product):
+        # exact factor-wise pass: names the offending factor or pairwise gcd
+        ok, offender = product_squarefree(factors)
+        if not ok:
+            raise VerificationError(
+                "not_squarefree",
+                f"factor list is not squarefree/coprime; witness {poly_to_str(offender)}",
+                witness=offender,
+            )
     cert = verify_saito(product, matrix)
     table = []
     for j in range(matrix.ncols):
@@ -256,11 +311,12 @@ def euler_frame(f: Poly, weight: Sequence, matrix: PolyMatrix) -> FramedDivisor:
             col = [matrix.entry(i, j) - q * euler_col[i] for i in range(n)]
             cols.append(col)
         candidate = PolyMatrix(ctx, [[cols[c][r] for c in range(n)] for r in range(n)])
-        det = candidate.det()
-        scalar = divide_exact(det, f)
-        if scalar is None or not scalar.is_constant() or scalar.is_zero():
+        try:
+            return frame_divisor([f], candidate, weight=w)
+        except VerificationError as e:
+            if e.kind != "det_mismatch":
+                raise
             return None
-        return frame_divisor([f], candidate, weight=w)
 
     for j0 in range(n):
         if quotients[j0].is_constant() and not quotients[j0].is_zero():

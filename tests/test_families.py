@@ -6,11 +6,12 @@ beta*alpha + u*beta + t*alpha, matrix entries from the construction tables,
 and product expansions by direct multiplication.
 """
 
-import os
 from fractions import Fraction
 
 import pytest
 
+import freediv.families
+import freediv.saito
 from freediv.poly import (
     Context,
     Poly,
@@ -56,6 +57,26 @@ from helpers import CASES, make_rng
 
 def mat(ctx: Context, rows) -> PolyMatrix:
     return PolyMatrix(ctx, [[parse_poly(e, ctx) for e in row] for row in rows])
+
+
+@pytest.fixture(autouse=True)
+def bareiss_oracle(monkeypatch):
+    """Check every certificate built in this module against the polynomial
+    determinant: det_scalar must equal det(matrix) / f by Bareiss."""
+    verify = freediv.saito.verify_saito
+    checked = []
+
+    def checking(f, matrix):
+        cert = verify(f, matrix)
+        scalar = divide_exact(matrix.det(strategy="bareiss"), f)
+        assert scalar is not None and scalar.is_constant()
+        assert cert.det_scalar == scalar.constant_value()
+        checked.append(matrix.nrows)
+        return cert
+
+    for module in (freediv.saito, freediv.families):
+        monkeypatch.setattr(module, "verify_saito", checking)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +669,19 @@ class TestCompose:
         with pytest.raises((CommonFactorError, VerificationError)):
             compose_factors((x, x * (x + y)), _sum_frame_2(), frame=None)
 
+    def test_substitution_to_zero_reports_the_shared_factor(self):
+        # f1 + f2 = 0, so the substituted divisor is zero
+        ctx = Context(("x", "y"))
+        x = ctx.var("x")
+        with pytest.raises(CommonFactorError) as exc:
+            compose_factors((x, -x), _sum_frame_2(), frame=None)
+        assert exc.value.witness == x
+        assert exc.value.substituted.is_zero()
+        assert str(exc.value) == (
+            "substituent 0 shares the factor x with the substituted cofactor; "
+            "the substituted divisor is not reduced"
+        )
+
     def test_iterated_plane_curves_share_a_factor(self):
         # f1, f2, f3 as unit multiples of x^2 - y^3, y^2 - x^3, f1^3 + f2^2:
         # substitution into y1*y2*y3*(y1^3 + y2^2) repeats the factor
@@ -975,14 +1009,12 @@ class TestIterate:
             "z1 + z2", big
         )
 
-    @pytest.mark.skipif(
-        not os.environ.get("FREEDIV_SLOW"),
-        reason="16-variable determinant; set FREEDIV_SLOW=1 to include",
-    )
-    def test_three_steps_to_sixteen_variables(self):
+    def test_three_steps_to_sixteen_variables(self, bareiss_oracle):
         ctx = Context(("x1", "x2"))
         seq = iterate_tangent(parse_poly("x1*x2", ctx), (1, 1), 3)
         assert seq[3].divisor.ctx.nvars == 16
+        assert seq[3].det_scalar == 8
+        assert max(bareiss_oracle) == 16
 
 
 class TestNormalCrossing:

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import freediv.poly
 from freediv.poly import (
+    LINE_PRIME,
     Context,
     NotHomogeneousError,
     ParseError,
@@ -21,6 +24,9 @@ from freediv.poly import (
     poly_gcd,
     poly_to_str,
     product_squarefree,
+    sample_ints,
+    squarefree_gcd,
+    squarefree_on_line,
     star,
     substitute,
 )
@@ -282,6 +288,91 @@ def test_squarefree_detects_squares_random():
         if a.is_constant():
             continue
         assert not is_squarefree(a * a * b)
+
+
+def test_line_certificate_oracles():
+    for text in ("x", "x*y*z", "x^2 - y^2", "x^2 + y^2", "x^2*y - y^2*z", "1/2*x*y + 1/3*z"):
+        assert squarefree_on_line(P(text)), text
+    for text in ("x^2*y", "x^2 + 2*x*y + y^2", "(x + y*z)^2*(x - 1)"):
+        assert not squarefree_on_line(P(text)), text
+
+
+def test_line_certificate_never_certifies_squares_random():
+    rng = make_rng(61)
+    for _ in range(CASES // 5):
+        a = rand_nonzero(rng, XYZ, max_terms=3, max_deg=2)
+        b = rand_nonzero(rng, XYZ, max_terms=3, max_deg=2)
+        if a.is_constant():
+            continue
+        assert not squarefree_on_line(a * a * b)
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    calls = []
+    gcd = freediv.poly.poly_gcd
+    monkeypatch.setattr(freediv.poly, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    return calls
+
+
+def test_squarefree_gcd_certified_on_the_line_runs_no_gcd(gcd_calls):
+    assert squarefree_gcd(P("x^2*y - y^2*z + 3*x*z")) == XYZ.const(1)
+    assert gcd_calls == []
+
+
+def test_content_divisible_by_the_line_prime_takes_the_gcd_path(gcd_calls):
+    # the integer multiple vanishes mod the prime, so the line certifies nothing
+    f = P("x*y + z").scale(LINE_PRIME)
+    assert not squarefree_on_line(f)
+    assert squarefree_gcd(f) == XYZ.const(1)
+    assert gcd_calls
+    # a denominator divisible by the prime is cleared first, and certifies
+    g = P("x*y + z").scale(Fraction(1, LINE_PRIME)) + P("x")
+    assert squarefree_on_line(g)
+
+
+def test_line_certificate_needs_the_kept_degree():
+    # g = b2*x - b1*y + 1 is constant along the fixed line, so f = g^2 * x
+    # restricts to a squarefree linear U: only the dropped degree stops the
+    # certificate
+    ctx = Context(["x", "y"])
+    b1, b2 = sample_ints(4, LINE_PRIME - 1)[2:]
+    x, y = ctx.gens()
+    f = (x.scale(b2) - y.scale(b1) + 1) ** 2 * x
+    assert not squarefree_on_line(f)
+    assert not squarefree_gcd(f).is_constant()
+
+
+def test_sample_ints_is_fixed():
+    a = sample_ints(20, 97)
+    assert a == sample_ints(20, 97)
+    assert all(1 <= v <= 97 for v in a)
+    assert a != sample_ints(20, 97, salt=1)
+    assert len(set(sample_ints(50, LINE_PRIME - 1))) == 50
+
+
+def test_evaluate_oracles():
+    f = P("1/2*x^2*y - 3*z + 5")
+    assert f.evaluate([2, 3, Fraction(1, 3)]) == Fraction(10)
+    assert f.evaluate([Fraction(1, 2), 1, 0]) == Fraction(41, 8)
+    assert isinstance(XYZ.const(2).evaluate([0, 0, 0]), Fraction)
+    assert P("2*x^2*y - 3*z + 5").evaluate([2, 3, 7], 101) == 2 * 4 * 3 - 21 + 5
+    with pytest.raises(PolyError):
+        f.evaluate([2, 3, 7], 101)
+    with pytest.raises(PolyError):
+        f.evaluate([1, 2])
+
+
+def test_evaluate_matches_substitute_random():
+    rng = make_rng(62)
+    for _ in range(CASES // 10):
+        h = rand_poly(rng, XYZ)
+        point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+        value = substitute(h, [XYZ.const(v) for v in point]).constant_value()
+        assert h.evaluate(point) == value
+        H = h.scale(lcm(*(c.denominator for c in h.terms.values()), 1))
+        ints = [rng.randint(-9, 9) for _ in range(3)]
+        assert H.evaluate(ints, 10007) == H.evaluate(ints) % 10007
 
 
 def test_product_squarefree_matches_direct():

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import freediv.poly
+import freediv.saito
 from freediv.matrices import PolyMatrix, matrix_from_json
-from freediv.poly import Context, NotHomogeneousError, parse_poly
+from freediv.poly import Context, NotHomogeneousError, divide_exact, parse_poly, sample_ints
 from freediv.saito import (
     FramingError,
     HilbertBurch,
@@ -131,6 +133,106 @@ def test_random_normal_crossing_products():
 
 
 # ---------------------------------------------------------------------------
+# the determinant from Saito's lemma and its fallback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Count polynomial determinants: the lemma path takes none."""
+    calls = []
+    det = PolyMatrix.det
+
+    def counting(self, strategy=None):
+        calls.append(self.nrows)
+        return det(self, strategy)
+
+    monkeypatch.setattr(PolyMatrix, "det", counting)
+    return calls
+
+
+def test_lemma_reads_the_scalar_without_a_determinant(det_calls):
+    f = P("x^2*y - y^2*z")
+    mat = M([["0", "x", "y"], ["y", "-2*y", "0"], ["-z", "4*z", "2*x"]])
+    cert = verify_saito(f, mat)
+    assert det_calls == []
+    assert cert.det_scalar == divide_exact(mat.det(strategy="bareiss"), f).constant_value()
+
+
+def test_high_degree_unimodular_transform_falls_back_to_bareiss(det_calls):
+    # A @ U with U unimodular: the same divisor and determinant, every column
+    # still logarithmic, but the degree bound now exceeds deg f
+    f = P("x^2*y - y^2*z")
+    a = M([["0", "x", "y"], ["y", "-2*y", "0"], ["-z", "4*z", "2*x"]])
+    u = M([["1", "x^3*z^2", "0"], ["0", "1", "y^4"], ["0", "0", "1"]])
+    base = verify_saito(f, a)
+    assert det_calls == []
+    cert = verify_saito(f, a @ u)
+    assert det_calls == [3]
+    assert cert.det_scalar == base.det_scalar == -2
+
+
+def test_zero_scalar_falls_back_to_the_determinant_error(det_calls):
+    ctx = Context(["x", "y"])
+    # both columns logarithmic and within the degree bound, det A = 0
+    with pytest.raises(VerificationError) as ei:
+        verify_saito(parse_poly("x*y", ctx), M([["x", "x"], ["0", "0"]], ctx))
+    assert ei.value.kind == "det_mismatch"
+    assert str(ei.value) == "determinant 0 is not a nonzero rational multiple of the divisor"
+    assert det_calls == [2]
+
+
+def test_divisor_vanishing_at_every_candidate_point_falls_back(det_calls):
+    ctx = Context(["x"])
+    roots = {sample_ints(1, freediv.saito._POINT_BOUND, salt)[0]
+             for salt in range(freediv.saito._POINT_TRIES)}
+    f = ctx.const(1)
+    for r in sorted(roots):
+        f = f * (ctx.var("x") - r)
+    cert = verify_saito(f, PolyMatrix(ctx, [[f]]))
+    assert det_calls == [1]
+    assert cert.det_scalar == 1
+
+
+def test_failing_determinant_and_column_reports_the_determinant(det_calls):
+    ctx = Context(["x", "y"])
+    # det = y is not a multiple of xy, and column 0 gives (grad xy) . (1, 0) = y
+    with pytest.raises(VerificationError) as ei:
+        verify_saito(parse_poly("x*y", ctx), M([["1", "0"], ["0", "y"]], ctx))
+    assert ei.value.kind == "det_mismatch"
+    assert str(ei.value) == "determinant y is not a nonzero rational multiple of the divisor"
+    assert det_calls == [2]
+
+
+def test_non_logarithmic_column_message_unchanged():
+    ctx = Context(["x", "y"])
+    with pytest.raises(VerificationError) as ei:
+        verify_saito(parse_poly("x*y", ctx), M([["x", "y"], ["0", "y"]], ctx))
+    assert ei.value.kind == "not_logarithmic"
+    assert ei.value.column == 1
+    assert str(ei.value) == (
+        "column 1 applied to the divisor gives x*y + y^2, not a multiple of the divisor"
+    )
+
+
+def test_lemma_scalar_matches_bareiss_on_random_crossings():
+    rng = make_rng(41)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        ctx, f = normal_crossing(n)
+        rows = [[ctx.var(nm).scale(rng.randint(1, 3)) if i == j else ctx.zero()
+                 for j, nm in enumerate(ctx.names)] for i in range(n)]
+        # constant column shears keep the columns logarithmic and the degree bound
+        for j in range(1, n):
+            c = rng.randint(-2, 2)
+            for row in rows:
+                row[j - 1] = row[j - 1] + row[j].scale(c)
+        mat = PolyMatrix(ctx, rows)
+        cert = verify_saito(f, mat)
+        assert cert.det_scalar == divide_exact(mat.det(strategy="bareiss"), f).constant_value()
+
+
+# ---------------------------------------------------------------------------
 # framed divisors
 # ---------------------------------------------------------------------------
 
@@ -159,6 +261,31 @@ def test_frame_divisor_rejects_common_factor():
     assert ei.value.kind == "not_squarefree"
 
 
+def test_frame_divisor_reduced_product_runs_no_gcd(monkeypatch):
+    calls = []
+    gcd = freediv.poly.poly_gcd
+    monkeypatch.setattr(freediv.poly, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    ctx = Context(["x", "y"])
+    fd = frame_divisor([parse_poly("x", ctx), parse_poly("y", ctx), parse_poly("x + y", ctx)],
+                       M([["x", "x^2"], ["y", "-y^2"]], ctx))
+    assert calls == []
+    assert fd.certificate.squarefree_witness == ctx.const(1)
+
+
+def test_frame_divisor_reports_the_first_offending_factor():
+    ctx = Context(["x", "y"])
+    mat = M([["x", "0"], ["0", "y"]], ctx)
+    with pytest.raises(VerificationError) as ei:
+        frame_divisor([parse_poly("x^2", ctx), parse_poly("y", ctx)], mat)
+    assert ei.value.witness == parse_poly("x^2", ctx)
+    with pytest.raises(VerificationError) as ei:
+        frame_divisor([parse_poly("y", ctx), ctx.zero()], mat)
+    assert str(ei.value) == "factor list is not squarefree/coprime; witness 0"
+    with pytest.raises(VerificationError) as ei:
+        frame_divisor([parse_poly("x*y", ctx), parse_poly("x + x*y", ctx)], mat)
+    assert ei.value.witness == parse_poly("x", ctx)
+
+
 def test_frame_divisor_weight_checked():
     ctx = Context(["x", "y"])
     factors = [parse_poly("x + y^2", ctx)]
@@ -182,6 +309,13 @@ def test_euler_frame_normal_crossing():
     hb = hilbert_burch_from_framed(fd)
     assert hb.scalar == 1
     assert hb.matrix.signed_maximal_minors() == list(f.gradient())
+
+
+def test_euler_frame_takes_no_polynomial_determinant(det_calls):
+    ctx, f = normal_crossing(4)
+    fd = euler_frame(f, [1, 2, 1, 3], PolyMatrix.diagonal([ctx.var(n) for n in ctx.names]))
+    assert det_calls == []
+    assert column_roles(fd)[0] == "euler:0"
 
 
 def test_euler_frame_derived_example_hilbert_burch():
