@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from typing import Sequence
@@ -44,7 +42,6 @@ from .poly import Context, Poly, PolyError, parse_poly, poly_to_str
 from .saito import (
     FramedDivisor,
     PreconditionError,
-    SaitoCertificate,
     VerificationError,
     certificate_to_json,
     column_roles,
@@ -52,7 +49,6 @@ from .saito import (
     frame_divisor,
     free_multiple_via_xifi,
     hilbert_burch_from_framed,
-    matrix_to_json,
     verify_saito,
 )
 
@@ -117,33 +113,37 @@ def _split_names(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _read_maybe_file(text: str) -> str:
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
-    return text
-
-
-def _matrix_rows(text: str) -> list[list[str]]:
-    """Decode a matrix argument: inline JSON or @file, entries as strings."""
-    raw = _read_maybe_file(text)
+def _read_text(path: str) -> str:
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise PolyError(f"matrix is not valid JSON: {exc}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise PolyError(f"cannot read {path}: {reason}") from None
+
+
+def _matrix_entries(data) -> list[list[str]]:
+    """Validate decoded matrix JSON: a list of rows of strings, bare or
+    wrapped in {"entries": ...}."""
     if isinstance(data, dict):
         data = data.get("entries")
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise PolyError("matrix JSON must be a list of rows (or {\"entries\": [...]})")
-    rows = []
     for row in data:
-        out = []
         for cell in row:
             if not isinstance(cell, str):
                 raise PolyError(f"matrix entries must be strings, got {cell!r}")
-            out.append(cell)
-        rows.append(out)
-    return rows
+    return data
+
+
+def _matrix_rows(text: str) -> list[list[str]]:
+    """Decode a matrix argument: inline JSON or @file, entries as strings."""
+    raw = _read_text(text[1:]) if text.startswith("@") else text
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise PolyError(f"matrix is not valid JSON: {exc}") from None
+    return _matrix_entries(data)
 
 
 def _parse_matrix(rows: list[list[str]], ctx: Context) -> PolyMatrix:
@@ -487,15 +487,11 @@ def _corpus_ctx(entry: dict) -> Context:
     return Context(tuple(entry["vars"]))
 
 
-def _rows_of(data) -> list[list[str]]:
-    return data["entries"] if isinstance(data, dict) else data
-
-
 def _entry_matrix(entry: dict, ctx: Context, key: str = "matrix") -> PolyMatrix:
     data = entry.get(key)
     if data is None:
         raise PreconditionError(f"entry {entry['id']!r} needs a {key!r} field")
-    return _parse_matrix(_rows_of(data), ctx)
+    return _parse_matrix(_matrix_entries(data), ctx)
 
 
 def _verdict_outcome(verdict: FamilyVerdict, f: Poly) -> _EntryOutcome:
@@ -564,7 +560,7 @@ def _run_entry_checked(entry: dict) -> _EntryOutcome:
             sctx = Context(tuple(side["vars"]))
             sf = parse_poly(side["f"], sctx)
             sm = (
-                _parse_matrix(_rows_of(side["matrix"]), sctx)
+                _parse_matrix(_matrix_entries(side["matrix"]), sctx)
                 if side.get("matrix")
                 else normal_crossing_matrix(sf)
             )
@@ -627,7 +623,7 @@ def _run_entry_checked(entry: dict) -> _EntryOutcome:
         sctx = Context(tuple(p["vars"]))
         seed = parse_poly(p["f"], sctx)
         w = [Fraction(x) for x in p["weights"]]
-        matrix = _parse_matrix(_rows_of(p["matrix"]), sctx) if p.get("matrix") else None
+        matrix = _parse_matrix(_matrix_entries(p["matrix"]), sctx) if p.get("matrix") else None
         hb = _hilbert_burch(seed, w, matrix)
         cert = multi_jet_extend(seed, hb, w, p["m"])
         constructed = cert.divisor
@@ -681,30 +677,45 @@ def _run_entry(entry: dict) -> dict:
     }
 
 
+class _Fields(dict):
+    """A JSON object of a corpus: a missing field raises PreconditionError,
+    so it becomes that entry's error row."""
+
+    def __missing__(self, key):
+        raise PreconditionError(f"missing field {key!r}")
+
+
 def _load_corpus(path: str | None) -> list[dict]:
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        raw = _read_text(path)
     else:
         raw = resources.files("freediv").joinpath("corpus.json").read_text("utf-8")
     try:
-        entries = json.loads(raw)
+        entries = json.loads(raw, object_hook=_Fields)
     except json.JSONDecodeError as exc:
         raise PolyError(f"corpus is not valid JSON: {exc}") from None
     if not isinstance(entries, list):
         raise PolyError("corpus must be a JSON array of entries")
-    ids = [e.get("id") for e in entries]
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise PreconditionError(f"corpus entry {i} is not an object")
+        for field in ("id", "vars", "f", "expect"):
+            if field not in entry:
+                raise PreconditionError(f"corpus entry {i} has no {field!r} field")
+        if not (isinstance(entry["id"], str) and isinstance(entry["f"], str)
+                and isinstance(entry["vars"], list)
+                and all(isinstance(v, str) for v in entry["vars"])):
+            raise PreconditionError(
+                f"corpus entry {i}: 'id' and 'f' must be strings, 'vars' a list of strings"
+            )
+    ids = [e["id"] for e in entries]
     if len(set(ids)) != len(ids):
         raise PreconditionError("corpus entry ids must be unique")
     return entries
 
 
 def _cmd_corpus_run(args) -> int:
-    entries = _load_corpus(args.path)
-    jobs = args.jobs or min(8, len(entries)) or 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_run_entry, entries))
-    results.sort(key=lambda r: r["id"])
+    results = sorted(map(_run_entry, _load_corpus(args.path)), key=lambda r: r["id"])
 
     certified: dict[str, list[str]] = {}
     refuted: dict[str, list[str]] = {}
@@ -877,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     corsub = cor.add_subparsers(dest="corpus_command", required=True)
     p = corsub.add_parser("run", help="run every entry and compare expectations")
     p.add_argument("--path", help="corpus JSON file (default: the bundled corpus)")
-    p.add_argument("--jobs", type=int, help="worker threads (default: min(8, entries))")
+    p.add_argument("--jobs", type=int, help="accepted and ignored: entries run one after another")
     p.set_defaults(func=_cmd_corpus_run)
 
     return parser

@@ -33,7 +33,6 @@ from typing import Sequence
 
 from .poly import (
     Context,
-    NotHomogeneousError,
     Poly,
     deg_shift_inverse,
     divide_exact,
@@ -43,9 +42,10 @@ from .poly import (
     poly_to_str,
     squarefree_gcd,
     squarefree_on_line,
+    star,
     substitute,
 )
-from .matrices import InternalCheckError, PolyMatrix, block_diagonal, matrix_star
+from .matrices import InternalCheckError, PolyMatrix, block_diagonal
 from .linalg import euler_annihilators, two_weight_annihilator
 from .saito import (
     FramedDivisor,
@@ -992,19 +992,13 @@ def multi_jet_extend(
     flat = [nm for grp in fresh for nm in grp]
     big = ctx.extend(flat)
     base = hb.matrix.embedded(big)
-    polars = [matrix_star(hb.matrix, big, n, grp) for grp in fresh]
-    f_big = f.embedded(big)
-    jets = []
+    polars = [
+        PolyMatrix(big, [[star(p, big, grp) for p in row] for row in hb.matrix.rows])
+        for grp in fresh
+    ]
+    divisor = f.embedded(big)
     for grp in fresh:
-        s = big.zero()
-        for i in range(n):
-            di = f.derivative(i)
-            if not di.is_zero():
-                s = s + big.var(grp[i]) * di.embedded(big)
-        jets.append(s)
-    divisor = f_big
-    for s in jets:
-        divisor = divisor * s
+        divisor = divisor * star(f, big, grp)
     total = (m + 1) * n
     zero = big.zero()
     cols: list[list[Poly]] = []

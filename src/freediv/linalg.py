@@ -3,7 +3,8 @@
 Everything reduces to row reduction over Q: annihilating Euler fields from
 support exponents, degree-matched ideal membership, bounded-degree syzygies,
 and the Koszul homotopy that trivializes 1-cycles against a weighted Euler
-derivation.
+derivation.  Polynomial identities become one rational system, a row per
+(coordinate, exponent), built by _coefficient_system for every solve.
 """
 from __future__ import annotations
 
@@ -74,10 +75,6 @@ def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 factor = m[i][c] * inv
                 m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
     return det
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
 
 
 def _normalize_integer_vector(v: Vec) -> Vec:
@@ -186,27 +183,33 @@ def two_weight_annihilator(f: Poly, v: Sequence, w: Sequence) -> tuple[Fraction,
 # ---------------------------------------------------------------------------
 
 
-def vector_linear_solve(columns: Sequence[Sequence[Poly]], target: Sequence[Poly]) -> Vec | None:
-    """Rational c with sum_i c_i * columns[i] = target (vectors of polynomials)."""
-    coords = len(target)
+def _coefficient_system(
+    columns: Sequence[Sequence[Poly]], target: Sequence[Poly]
+) -> tuple[list[Vec], Vec]:
+    """The rational system for sum_j c_j * columns[j] = target (vectors of
+    polynomials of one length): a row per occurring (coordinate, exponent)."""
     index: dict[tuple[int, tuple], int] = {}
-    for vec in list(columns) + [list(target)]:
-        if len(vec) != coords:
-            raise PolyError("vector length mismatch in linear solve")
+    for vec in list(columns) + [target]:
         for k, p in enumerate(vec):
             for e in p.terms:
                 index.setdefault((k, e), len(index))
-    nrows = len(index)
-    rows = [[Fraction(0)] * len(columns) for _ in range(nrows)]
+    rows = [[Fraction(0)] * len(columns) for _ in range(len(index))]
     for j, vec in enumerate(columns):
         for k, p in enumerate(vec):
             for e, c in p.terms.items():
                 rows[index[(k, e)]][j] = c
-    rhs = [Fraction(0)] * nrows
+    rhs = [Fraction(0)] * len(index)
     for k, p in enumerate(target):
         for e, c in p.terms.items():
             rhs[index[(k, e)]] = c
-    return solve_linear(rows, rhs)
+    return rows, rhs
+
+
+def vector_linear_solve(columns: Sequence[Sequence[Poly]], target: Sequence[Poly]) -> Vec | None:
+    """Rational c with sum_i c_i * columns[i] = target (vectors of polynomials)."""
+    if any(len(vec) != len(target) for vec in columns):
+        raise PolyError("vector length mismatch in linear solve")
+    return solve_linear(*_coefficient_system(columns, target))
 
 
 def poly_linear_solve(columns: Sequence[Poly], target: Poly) -> Vec | None:
@@ -292,9 +295,19 @@ DEFAULT_SYZYGY_BOUND_ENV = "FREEDIV_SYZYGY_BOUND"
 def default_syzygy_bound(f: Poly) -> int:
     """deg f + number of variables, overridable via FREEDIV_SYZYGY_BOUND."""
     env = os.environ.get(DEFAULT_SYZYGY_BOUND_ENV)
-    if env is not None:
-        return int(env)
-    return f.total_degree() + f.ctx.nvars
+    if env is None:
+        return f.total_degree() + f.ctx.nvars
+    try:
+        bound = int(env)
+        if bound >= 0:
+            return bound
+    except ValueError:
+        pass
+    from .saito import PreconditionError  # local import to avoid a cycle
+
+    raise PreconditionError(
+        f"{DEFAULT_SYZYGY_BOUND_ENV} must be a non-negative integer, got {env!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -327,21 +340,7 @@ def bounded_syzygy_solve(gens: Sequence[Sequence[Poly] | Poly], target, bound: i
             m = ctx.monomial(e)
             columns.append([m * p for p in g])
             owners.append((i, e))
-
-    index: dict[tuple[int, tuple], int] = {}
-    for vec in columns + [tvec]:
-        for k, p in enumerate(vec):
-            for e in p.terms:
-                index.setdefault((k, e), len(index))
-    rows = [[Fraction(0)] * len(columns) for _ in range(len(index))]
-    for j, vec in enumerate(columns):
-        for k, p in enumerate(vec):
-            for e, c in p.terms.items():
-                rows[index[(k, e)]][j] = c
-    rhs = [Fraction(0)] * len(index)
-    for k, p in enumerate(tvec):
-        for e, c in p.terms.items():
-            rhs[index[(k, e)]] = c
+    rows, rhs = _coefficient_system(columns, tvec)
 
     def assemble(coeffs: Sequence[Fraction]) -> tuple[Poly, ...]:
         hs = [ctx.zero() for _ in gvecs]

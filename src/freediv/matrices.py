@@ -7,10 +7,9 @@ it can only mean a bug in this library.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .poly import Context, Poly, PolyError, divide_exact, parse_poly, poly_to_str
+from .poly import Context, Poly, PolyError, divide_exact, poly_to_str
 
 # determinants of size <= CROSSCHECK_LIMIT are computed by both strategies
 # whenever crosscheck_enabled holds (cheap at these sizes, and a live guard)
@@ -126,11 +125,6 @@ class PolyMatrix:
         if sorted(perm) != list(range(self.nrows)):
             raise MatrixError("not a permutation")
         return PolyMatrix(self.ctx, [self.rows[p] for p in perm])
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        rows = [[fn(p) for p in r] for r in self.rows]
-        ctx = rows[0][0].ctx if rows and rows[0] else self.ctx
-        return PolyMatrix(ctx, rows)
 
     def embedded(self, big: Context) -> "PolyMatrix":
         return PolyMatrix(big, [[p.embedded(big) for p in r] for r in self.rows])
@@ -317,34 +311,6 @@ class PolyMatrix:
 # ---------------------------------------------------------------------------
 
 
-def hstack(blocks: Sequence[PolyMatrix]) -> PolyMatrix:
-    blocks = list(blocks)
-    if not blocks:
-        raise MatrixError("hstack of nothing")
-    nr = blocks[0].nrows
-    ctx = blocks[0].ctx
-    for b in blocks:
-        if b.nrows != nr or b.ctx != ctx:
-            raise MatrixError("hstack blocks disagree")
-    rows = [sum((list(b.rows[i]) for b in blocks), []) for i in range(nr)]
-    return PolyMatrix(ctx, rows)
-
-
-def vstack(blocks: Sequence[PolyMatrix]) -> PolyMatrix:
-    blocks = list(blocks)
-    if not blocks:
-        raise MatrixError("vstack of nothing")
-    nc = blocks[0].ncols
-    ctx = blocks[0].ctx
-    for b in blocks:
-        if b.ncols != nc or b.ctx != ctx:
-            raise MatrixError("vstack blocks disagree")
-    rows = []
-    for b in blocks:
-        rows.extend(b.rows)
-    return PolyMatrix(ctx, rows)
-
-
 def block_diagonal(blocks: Sequence[PolyMatrix]) -> PolyMatrix:
     blocks = list(blocks)
     if not blocks:
@@ -366,23 +332,6 @@ def block_diagonal(blocks: Sequence[PolyMatrix]) -> PolyMatrix:
     return PolyMatrix(ctx, rows)
 
 
-def matrix_star(m: PolyMatrix, big: Context, nx: int, fresh: Sequence[str]) -> PolyMatrix:
-    """Entry-wise polar: each entry b becomes sum_k y_k db/dx_k over the extended context."""
-    yvars = [big.var(nm) for nm in fresh]
-    rows = []
-    for r in m.rows:
-        row = []
-        for p in r:
-            s = big.zero()
-            for k in range(nx):
-                d = p.derivative(k)
-                if not d.is_zero():
-                    s = s + yvars[k] * d.embedded(big)
-            row.append(s)
-        rows.append(row)
-    return PolyMatrix(big, rows)
-
-
 # ---------------------------------------------------------------------------
 # JSON form
 # ---------------------------------------------------------------------------
@@ -395,14 +344,3 @@ def matrix_to_json(m: PolyMatrix) -> dict:
         "entries": [[poly_to_str(p) for p in r] for r in m.rows],
     }
 
-
-def matrix_from_json(obj: dict, ctx: Context) -> PolyMatrix:
-    if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
-        raise MatrixError('matrix JSON needs keys "rows", "cols", "entries"')
-    entries = obj["entries"]
-    if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
-        raise MatrixError("matrix JSON shape does not match rows/cols")
-    rows = [[parse_poly(s, ctx) for s in r] for r in entries]
-    if not rows:
-        raise MatrixError("empty matrix JSON")
-    return PolyMatrix(ctx, rows)

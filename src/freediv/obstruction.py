@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import Poly, poly_to_str, substitute
-from .linalg import fraction_det, graded_membership, rref, solve_linear
+from .linalg import fraction_det, graded_membership, poly_linear_solve, rref
 from .saito import (
     PreconditionError,
     xifi_generators,
@@ -40,8 +40,6 @@ __all__ = [
     "SmoothnessRefutedError",
     "homogeneous_degree",
     "xifi_generators",
-    "hat_generators",
-    "hat_ideal_agrees",
     "scalar_membership_obstruction",
     "exponent_independence",
     "monomial_graded_membership",
@@ -110,31 +108,6 @@ class SmoothnessRefutedError(PreconditionError):
         )
 
 
-# ---------------------------------------------------------------------------
-# scalar matrix helpers
-# ---------------------------------------------------------------------------
-
-
-def _fraction_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if pr is None:
-            return None
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return [row[n:] for row in m]
-
-
 def homogeneous_degree(f: Poly) -> int:
     """Total degree of a homogeneous nonzero polynomial; PreconditionError otherwise."""
     if f.is_zero():
@@ -142,42 +115,6 @@ def homogeneous_degree(f: Poly) -> int:
     if not f.is_homogeneous():
         raise PreconditionError("the form must be homogeneous in total degree")
     return f.total_degree()
-
-
-# ---------------------------------------------------------------------------
-# the ideal (x_i f_i) and its shifted generators
-# ---------------------------------------------------------------------------
-
-
-def hat_generators(f: Poly) -> list[Poly]:
-    """The shifted generators x_i * df/dx_i + f of the same ideal.
-
-    For homogeneous f of degree k >= 1 the Euler relation
-    k*f = sum_i x_i * df/dx_i places f in the span of the x_i * df/dx_i,
-    so adding f to each generator does not change the ideal (and conversely
-    the sum of the shifted generators is (k + n) * f).
-    """
-    k = homogeneous_degree(f)
-    if k < 1:
-        raise PreconditionError("the form must have degree at least 1")
-    return [g + f for g in xifi_generators(f)]
-
-
-def hat_ideal_agrees(f: Poly) -> bool:
-    """Check that (x_i f_i) and the shifted generators cut the same ideal.
-
-    Both inclusions are established degree by degree at the generators' own
-    degree via exact membership solves.
-    """
-    plain = xifi_generators(f)
-    shifted = hat_generators(f)
-    for g in shifted:
-        if not graded_membership(g, plain).member:
-            return False
-    for g in plain:
-        if not graded_membership(g, shifted).member:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +144,7 @@ def scalar_membership_obstruction(f: Poly) -> Membership:
         )
     gens = xifi_generators(f)
     target = ctx.monomial(tuple(1 if i < k else 0 for i in range(n)))
-    monomials = sorted({e for g in gens for e in g.terms} | set(target.terms))
-    rows = [[g.terms.get(e, Fraction(0)) for g in gens] for e in monomials]
-    rhs = [target.terms.get(e, Fraction(0)) for e in monomials]
-    sol = solve_linear(rows, rhs)
+    sol = poly_linear_solve(gens, target)
     if sol is None:
         return Membership(
             False,
@@ -374,8 +308,10 @@ def smooth_times_nc_verdict(
         return ObstructionReport(candidate, tuple(checks), "Inconclusive")
     checks.append(ObstructionCheck("degree_and_dimension", "satisfied", f"{k} > 2, {n} > 2"))
 
-    inverse = _fraction_inverse(coeff_rows)
-    assert inverse is not None
+    # det_l != 0, so [L | I] reduces to [I | L^-1]
+    reduced, _ = rref([row + [Fraction(int(i == j)) for j in range(n)]
+                       for i, row in enumerate(coeff_rows)])
+    inverse = [row[n:] for row in reduced]
     new_coords = [
         sum(
             (ctx.var(ctx.names[j]).scale(inverse[i][j]) for j in range(n)),

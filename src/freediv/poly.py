@@ -471,10 +471,6 @@ def _uni_trim(coeffs: list[Poly]) -> list[Poly]:
     return coeffs[: d + 1]
 
 
-def _uni_scale(coeffs: list[Poly], g: Poly) -> list[Poly]:
-    return [c * g for c in coeffs]
-
-
 def _uni_pseudo_rem(a: list[Poly], b: list[Poly], ctx: Context) -> list[Poly]:
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, exactly that scaling."""
     a = list(a)
@@ -548,12 +544,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     v = max(range(ctx.nvars), key=lambda i: counts[i])
     if counts[v] == 0:
         return ctx.const(1)
-    pa, da = _content_wrt(p, v)
-    qa, db = _content_wrt(q, v)
-    if da == 0 or db == 0:
-        # one operand does not involve v after all (possible when v count came
-        # from the other): gcd divides its content
-        pass
+    pa, _ = _content_wrt(p, v)
+    qa, _ = _content_wrt(q, v)
     cont_p = _uni_content(pa)
     cont_q = _uni_content(qa)
     a = _uni_div_exact(_uni_trim(pa), cont_p)
@@ -760,21 +752,17 @@ def substitute(h: Poly, args: Sequence[Poly]) -> Poly:
     return out
 
 
-def star(f: Poly, fresh: Sequence[str]) -> tuple[Poly, Context]:
-    """The polar polynomial sum_i y_i * df/dx_i in freshly appended variables.
-
-    Returns (f*, extended context); f itself embeds via f.embedded(ctx).
-    """
-    n = f.ctx.nvars
-    if len(fresh) != n:
-        raise PolyError(f"need {n} fresh names, got {len(fresh)}")
-    big = f.ctx.extend(fresh)
+def star(p: Poly, big: Context, fresh: Sequence[str]) -> Poly:
+    """The polar form sum_i y_i * dp/dx_i over `big`, an extension of p's
+    context that contains the fresh names y_i (one per variable of p)."""
+    if len(fresh) != p.ctx.nvars:
+        raise PolyError(f"need {p.ctx.nvars} fresh names, got {len(fresh)}")
     out = big.zero()
-    for i in range(n):
-        d = f.derivative(i)
+    for i, y in enumerate(fresh):
+        d = p.derivative(i)
         if not d.is_zero():
-            out = out + big.var(fresh[i]) * d.embedded(big)
-    return out, big
+            out = out + big.var(y) * d.embedded(big)
+    return out
 
 
 def deg_shift_inverse(f: Poly, d, y_vars: Sequence[int | str] | None = None) -> Poly:
@@ -935,15 +923,6 @@ def parse_poly(text: str, ctx: Context) -> Poly:
     rational literals `a` or `a/b`, parentheses; whitespace insignificant.
     """
     return _Parser(text, ctx).parse()
-
-
-def infer_variables(text: str) -> tuple[str, ...]:
-    """Variable names appearing in the text, in order of first occurrence."""
-    seen: list[str] = []
-    for kind, val, _ in _tokenize(text):
-        if kind == "name" and val not in seen:
-            seen.append(val)
-    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,10 @@ from itertools import combinations
 from typing import Sequence
 
 from .linalg import bounded_syzygy_solve, default_syzygy_bound, fraction_det
-from .matrices import PolyMatrix, hstack, matrix_to_json
+from .matrices import PolyMatrix, matrix_to_json
 from .poly import (
     Context,
     Poly,
-    PolyError,
     divide_exact,
     poly_to_str,
     product_squarefree,
@@ -262,19 +261,6 @@ def column_roles(fd: FramedDivisor) -> list[str]:
         else:
             roles.append("mixed")
     return roles
-
-
-def verify_frame(fd: FramedDivisor) -> dict:
-    """Re-check everything a FramedDivisor asserts; report column roles."""
-    rebuilt = frame_divisor(fd.factors, fd.matrix, fd.weight)
-    assert rebuilt.multipliers == fd.multipliers, "stored multiplier table is stale"
-    return {
-        "factors": [poly_to_str(g) for g in fd.factors],
-        "product": poly_to_str(fd.product),
-        "det_scalar": str(fd.certificate.det_scalar),
-        "column_roles": column_roles(fd),
-        "weight": [str(w) for w in fd.weight] if fd.weight is not None else None,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ module in a subprocess to cover the packaging path.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -121,6 +122,25 @@ class TestVerify:
             "--matrix", '[["x", "0"]]',
         )
         assert code == EXIT_PRECONDITION
+
+    def test_unreadable_matrix_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--f", "x*y", "--vars", "x,y", "--matrix", f"@{missing}"
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error (parse): cannot read {missing}: No such file or directory\n"
+
+    def test_undecodable_matrix_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff")
+        code, _, err = run_cli(
+            capsys, "verify", "--f", "x*y", "--vars", "x,y", "--matrix", f"@{path}"
+        )
+        assert code == EXIT_PARSE
+        assert err.startswith(f"error (parse): cannot read {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
 
     def test_malformed_matrix_json_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -430,11 +450,84 @@ class TestCorpus:
         ]
         monkeypatch.setattr(cli, "_run_entry", lambda entry: rows[entry["n"]])
         path = tmp_path / "corpus.json"
-        path.write_text(json.dumps([{"id": "a", "n": 0}, {"id": "b", "n": 1}]))
+        fields = {"vars": ["x", "y"], "f": "x*y", "expect": "free"}
+        path.write_text(json.dumps([{"id": "a", "n": 0, **fields},
+                                    {"id": "b", "n": 1, **fields}]))
         code = main(["corpus", "run", "--path", str(path)])
         out, _ = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert "CONFLICT" in out and "cross-consistency: CONFLICT" in out
+
+
+    def run_corpus(self, capsys, tmp_path, entries):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(entries))
+        code = main(["corpus", "run", "--path", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_non_string_matrix_cell_is_an_error_row(self, capsys, tmp_path):
+        entry = {"id": "a", "vars": ["x", "y"], "f": "x*y",
+                 "matrix": [[1, 0], [0, "y"]], "expect": "free"}
+        code, out, _ = self.run_corpus(capsys, tmp_path, [entry])
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines()[0] == (
+            "a: FAIL expect=free actual=error: matrix entries must be strings, got 1"
+        )
+
+    @pytest.mark.parametrize("check, field", [
+        ("cone", "params"), ("euler3", "field"), ("substitution_reduced", "witness"),
+    ])
+    def test_missing_check_field_is_an_error_row(self, capsys, tmp_path, check, field):
+        entry = {"id": "a", "vars": ["x", "y"], "f": "x^2*y", "expect": "not_free",
+                 "check": check}
+        if field == "witness":
+            entry["params"] = {"factors": ["x", "x"], "outer": {
+                "vars": ["y1", "y2"], "f": "y1^2*y2 + y1*y2^2",
+                "factors": ["y1", "y2", "y1 + y2"]}}
+        code, out, _ = self.run_corpus(capsys, tmp_path, [entry])
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines()[0] == (
+            f"a: FAIL expect=not_free actual=error: missing field {field!r}"
+        )
+
+    @pytest.mark.parametrize("entries, message", [
+        ([5], "corpus entry 0 is not an object"),
+        ([{"id": "a", "vars": ["x"], "f": "x", "expect": "free"},
+          {"id": "b", "f": "x", "expect": "free"}],
+         "corpus entry 1 has no 'vars' field"),
+        ([{"id": "a", "vars": ["x"], "f": "x"}], "corpus entry 0 has no 'expect' field"),
+        ([{"id": "a", "vars": "x", "f": "x", "expect": "free"}],
+         "corpus entry 0: 'id' and 'f' must be strings, 'vars' a list of strings"),
+    ])
+    def test_malformed_entry_rejected_before_any_runs(
+        self, capsys, tmp_path, entries, message
+    ):
+        code, out, err = self.run_corpus(capsys, tmp_path, entries)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == f"error (precondition): {message}\n"
+
+    def test_unreadable_corpus_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code = main(["corpus", "run", "--path", str(missing)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error (parse): cannot read {missing}: No such file or directory\n"
+
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_examples.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][:2]) for c in GOLDEN])
+def test_golden_output_is_byte_identical(capsys, case):
+    # every README example, corpus run, and the classic failure paths
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestArgparseBehavior:

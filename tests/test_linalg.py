@@ -14,7 +14,6 @@ from freediv.linalg import (
     koszul_contract_1form,
     koszul_contract_2form,
     koszul_homotopy_1cycle,
-    matrix_rank,
     monomials_of_degree,
     monomials_up_to_degree,
     nullspace,
@@ -25,6 +24,7 @@ from freediv.linalg import (
 )
 from freediv.matrices import PolyMatrix
 from freediv.poly import Context, NotHomogeneousError, PolyError, parse_poly
+from freediv.saito import PreconditionError
 
 from helpers import CASES, make_rng, rand_nonzero, rand_poly
 
@@ -69,7 +69,7 @@ def test_nullspace_solves_random():
         rows = [[F(rng.randint(-4, 4)) for _ in range(4)] for _ in range(rng.randint(1, 4))]
         for v in nullspace(rows):
             assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
-        assert matrix_rank(rows) + len(nullspace(rows)) == 4
+        assert len(rref(rows)[1]) + len(nullspace(rows)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +212,14 @@ def test_default_syzygy_bound(monkeypatch):
     assert default_syzygy_bound(f) == 3 + 3
     monkeypatch.setenv("FREEDIV_SYZYGY_BOUND", "11")
     assert default_syzygy_bound(f) == 11
+
+
+@pytest.mark.parametrize("value", ["x", "2.5", "", "-1"])
+def test_default_syzygy_bound_rejects_malformed(monkeypatch, value):
+    monkeypatch.setenv("FREEDIV_SYZYGY_BOUND", value)
+    with pytest.raises(PreconditionError) as exc:
+        default_syzygy_bound(P("x^2*y"))
+    assert "FREEDIV_SYZYGY_BOUND" in str(exc.value) and repr(value) in str(exc.value)
 
 
 def test_random_syzygies_verify():

@@ -25,8 +25,6 @@ from freediv.obstruction import (
     ObstructionReport,
     SmoothnessRefutedError,
     exponent_independence,
-    hat_generators,
-    hat_ideal_agrees,
     homogeneous_degree,
     monomial_graded_membership,
     obstruction_report_to_json,
@@ -81,33 +79,6 @@ class TestScaledJacobianIdeal:
             parse_poly("3*y^3", CTX3),
             parse_poly("3*z^3", CTX3),
         ]
-
-    def test_hat_generators(self):
-        hats = hat_generators(FERMAT)
-        assert hats == [g + FERMAT for g in xifi_generators(FERMAT)]
-
-    def test_hat_rejects_constants(self):
-        with pytest.raises(PreconditionError):
-            hat_generators(parse_poly("2", CTX3))
-
-    def test_hat_ideal_equality(self):
-        assert hat_ideal_agrees(FERMAT)
-        assert hat_ideal_agrees(QUADRIC)
-        assert hat_ideal_agrees(CYCLIC)
-
-    def test_hat_ideal_equality_random(self):
-        rng = make_rng(71)
-        for _ in range(10):
-            terms = []
-            for e in monomials_of_degree(CTX3, 3):
-                if rng.random() < 0.4:
-                    terms.append(CTX3.monomial(e, rng.choice([1, 2, -1])))
-            f = CTX3.zero()
-            for t in terms:
-                f = f + t
-            if f.is_zero():
-                continue
-            assert hat_ideal_agrees(f)
 
     def test_coprime_monomial_ideal(self):
         # f = 2*x^2*y + 3*z^3: the scaled Jacobian ideal equals the

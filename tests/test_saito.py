@@ -8,7 +8,8 @@ import pytest
 
 import freediv.poly
 import freediv.saito
-from freediv.matrices import PolyMatrix, matrix_from_json
+from freediv.cli import _matrix_entries, _parse_matrix
+from freediv.matrices import PolyMatrix
 from freediv.poly import Context, NotHomogeneousError, divide_exact, parse_poly, sample_ints
 from freediv.saito import (
     FramingError,
@@ -119,7 +120,7 @@ def test_certificate_json_shape():
     assert obj["f"] == "x1*x2"
     assert obj["det_scalar"] == "1"
     assert obj["matrix"]["entries"] == [["x1", "0"], ["0", "x2"]]
-    assert matrix_from_json(obj["matrix"], ctx) == cert.matrix
+    assert _parse_matrix(_matrix_entries(obj["matrix"]), ctx) == cert.matrix
 
 
 def test_random_normal_crossing_products():
