@@ -38,7 +38,7 @@ from .families import (
 from .linalg import euler_annihilators
 from .matrices import InternalCheckError, PolyMatrix
 from .obstruction import obstruction_report_to_json, smooth_times_nc_verdict
-from .poly import Context, Poly, PolyError, parse_poly, poly_to_str
+from .poly import Context, NotHomogeneousError, Poly, PolyError, parse_poly, poly_to_str
 from .saito import (
     FramedDivisor,
     PreconditionError,
@@ -136,8 +136,11 @@ def _matrix_entries(data) -> list[list[str]]:
     return data
 
 
-def _matrix_rows(text: str) -> list[list[str]]:
-    """Decode a matrix argument: inline JSON or @file, entries as strings."""
+def _matrix_rows(text: str | None) -> list[list[str]]:
+    """Decode a matrix argument: inline JSON or @file, entries as strings;
+    no argument gives no rows."""
+    if text is None:
+        return []
     raw = _read_text(text[1:]) if text.startswith("@") else text
     try:
         data = json.loads(raw)
@@ -150,11 +153,41 @@ def _parse_matrix(rows: list[list[str]], ctx: Context) -> PolyMatrix:
     return PolyMatrix(ctx, [[parse_poly(cell, ctx) for cell in row] for row in rows])
 
 
-def _matrix_texts(text: str | None) -> list[str]:
-    """Entry strings of a matrix argument, for variable inference."""
-    if text is None:
-        return []
-    return [cell for row in _matrix_rows(text) for cell in row]
+def _cells(rows: list[list[str]]) -> list[str]:
+    """Entry strings of decoded matrix rows, for variable inference."""
+    return [cell for row in rows for cell in row]
+
+
+def _seed(args) -> tuple[Poly, tuple[Fraction, ...], PolyMatrix | None]:
+    """The divisor, weights and given matrix (None without --matrix) of the
+    jet constructions."""
+    rows = _matrix_rows(args.matrix)
+    ctx = _make_context(args.vars, [args.f] + _cells(rows))
+    f = parse_poly(args.f, ctx)
+    w = _fractions(args.weights, "--weights")
+    return f, w, (_parse_matrix(rows, ctx) if rows else None)
+
+
+def _given_or_normal_crossing(f: Poly, matrix: PolyMatrix | None, message: str) -> PolyMatrix:
+    """The given matrix, else the normal-crossing matrix of a scaled
+    squarefree monomial f, else PreconditionError(message)."""
+    if matrix is None:
+        matrix = normal_crossing_matrix(f)
+        if matrix is None:
+            raise PreconditionError(message)
+    return matrix
+
+
+def _shape(p: Poly) -> dict:
+    """The keys that parse and analyze report for every polynomial."""
+    degrees = sorted({sum(e) for e in p.support()})
+    return {
+        "f": poly_to_str(p),
+        "vars": list(p.ctx.names),
+        "num_terms": p.num_terms(),
+        "degrees": degrees,
+        "homogeneous": len(degrees) == 1,
+    }
 
 
 def _emit(payload: dict) -> None:
@@ -192,12 +225,9 @@ def _verdict_payload(verdict: FamilyVerdict) -> dict:
 
 
 def _hilbert_burch(f: Poly, w: Sequence[Fraction], matrix: PolyMatrix | None):
-    if matrix is None:
-        matrix = normal_crossing_matrix(f)
-        if matrix is None:
-            raise PreconditionError(
-                "the divisor is not a scaled squarefree monomial; supply --matrix"
-            )
+    matrix = _given_or_normal_crossing(
+        f, matrix, "the divisor is not a scaled squarefree monomial; supply --matrix"
+    )
     return hilbert_burch_from_framed(euler_frame(f, w, matrix))
 
 
@@ -209,27 +239,18 @@ def _hilbert_burch(f: Poly, w: Sequence[Fraction], matrix: PolyMatrix | None):
 def _cmd_parse(args) -> int:
     ctx = _make_context(args.vars, [args.f])
     p = parse_poly(args.f, ctx)
-    canonical = poly_to_str(p)
-    if parse_poly(canonical, ctx) != p:
+    shape = _shape(p)
+    if parse_poly(shape["f"], ctx) != p:
         raise InternalCheckError("canonical form failed to round-trip through the parser")
-    degrees = sorted({sum(e) for e in p.terms})
-    _emit(
-        {
-            "f": canonical,
-            "vars": list(ctx.names),
-            "num_terms": p.num_terms(),
-            "degrees": degrees,
-            "homogeneous": len(degrees) == 1,
-        }
-    )
+    _emit(shape)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    ctx = _make_context(args.vars, [args.f] + _matrix_texts(args.matrix))
+    rows = _matrix_rows(args.matrix)
+    ctx = _make_context(args.vars, [args.f] + _cells(rows))
     f = parse_poly(args.f, ctx)
-    matrix = _parse_matrix(_matrix_rows(args.matrix), ctx)
-    cert = verify_saito(f, matrix)
+    cert = verify_saito(f, _parse_matrix(rows, ctx))
     _emit(certificate_to_json(cert))
     return EXIT_OK
 
@@ -239,21 +260,12 @@ def _cmd_analyze(args) -> int:
     p = parse_poly(args.f, ctx)
     if p.is_zero():
         raise PreconditionError("cannot analyze the zero polynomial")
-    degrees = sorted({sum(e) for e in p.terms})
+    payload = _shape(p)
     ann = euler_annihilators(p)
-    payload: dict = {
-        "f": poly_to_str(p),
-        "vars": list(ctx.names),
-        "num_terms": p.num_terms(),
-        "degrees": degrees,
-        "homogeneous": len(degrees) == 1,
-        "annihilator_basis": [[str(c) for c in vec] for vec in ann.basis],
-        "unit_degree_field": (
-            None
-            if ann.unit_degree_field is None
-            else [str(c) for c in ann.unit_degree_field]
-        ),
-    }
+    payload["annihilator_basis"] = [[str(c) for c in vec] for vec in ann.basis]
+    payload["unit_degree_field"] = (
+        None if ann.unit_degree_field is None else [str(c) for c in ann.unit_degree_field]
+    )
     if p.num_terms() == 2:
         try:
             payload["binomial"] = _verdict_payload(is_free_binomial(p))
@@ -348,18 +360,18 @@ def _cmd_construct_triangular(args) -> int:
 
 def _cmd_construct_compose(args) -> int:
     factor_texts = [s.strip() for s in args.factors.split(";") if s.strip()]
-    ctx = _make_context(args.vars, factor_texts + _matrix_texts(args.matrix))
+    rows = _matrix_rows(args.matrix)
+    ctx = _make_context(args.vars, factor_texts + _cells(rows))
     factors = [parse_poly(t, ctx) for t in factor_texts]
     frame = None
-    if args.matrix:
-        frame = frame_divisor(factors, _parse_matrix(_matrix_rows(args.matrix), ctx))
+    if rows:
+        frame = frame_divisor(factors, _parse_matrix(rows, ctx))
     outer_texts = [s.strip() for s in args.outer_factors.split(";") if s.strip()]
-    outer_ctx = _make_context(
-        args.outer_vars, outer_texts + _matrix_texts(args.outer_matrix)
-    )
+    outer_rows = _matrix_rows(args.outer_matrix)
+    outer_ctx = _make_context(args.outer_vars, outer_texts + _cells(outer_rows))
     outer = frame_divisor(
         [parse_poly(t, outer_ctx) for t in outer_texts],
-        _parse_matrix(_matrix_rows(args.outer_matrix), outer_ctx),
+        _parse_matrix(outer_rows, outer_ctx),
     )
     fd = compose_factors(factors, outer, frame=frame)
     payload = _framed_payload(fd)
@@ -369,18 +381,16 @@ def _cmd_construct_compose(args) -> int:
 
 
 def _framed_side(f_text, vars_opt, weights_text, matrix_text, label) -> FramedDivisor:
-    ctx = _make_context(vars_opt, [f_text] + _matrix_texts(matrix_text))
+    rows = _matrix_rows(matrix_text)
+    ctx = _make_context(vars_opt, [f_text] + _cells(rows))
     f = parse_poly(f_text, ctx)
     w = _fractions(weights_text, f"--{label}weights")
-    if matrix_text:
-        matrix = _parse_matrix(_matrix_rows(matrix_text), ctx)
-    else:
-        matrix = normal_crossing_matrix(f)
-        if matrix is None:
-            raise PreconditionError(
-                f"the {label or 'first'} divisor is not a scaled squarefree "
-                f"monomial; supply --{label}matrix"
-            )
+    matrix = _given_or_normal_crossing(
+        f,
+        _parse_matrix(rows, ctx) if rows else None,
+        f"the {label or 'first'} divisor is not a scaled squarefree "
+        f"monomial; supply --{label}matrix",
+    )
     return frame_divisor([f], matrix, weight=w)
 
 
@@ -395,10 +405,7 @@ def _cmd_construct_sum_compose(args) -> int:
 
 
 def _cmd_construct_tangent(args) -> int:
-    ctx = _make_context(args.vars, [args.f] + _matrix_texts(args.matrix))
-    f = parse_poly(args.f, ctx)
-    w = _fractions(args.weights, "--weights")
-    matrix = _parse_matrix(_matrix_rows(args.matrix), ctx) if args.matrix else None
+    f, w, matrix = _seed(args)
     hb = _hilbert_burch(f, w, matrix)
     fresh = _split_names(args.fresh) if args.fresh else None
     cert = tangent_extend(f, hb, w, fresh)
@@ -409,10 +416,7 @@ def _cmd_construct_tangent(args) -> int:
 
 
 def _cmd_construct_jets(args) -> int:
-    ctx = _make_context(args.vars, [args.f] + _matrix_texts(args.matrix))
-    f = parse_poly(args.f, ctx)
-    w = _fractions(args.weights, "--weights")
-    matrix = _parse_matrix(_matrix_rows(args.matrix), ctx) if args.matrix else None
+    f, w, matrix = _seed(args)
     hb = _hilbert_burch(f, w, matrix)
     fresh = None
     if args.fresh:
@@ -426,10 +430,7 @@ def _cmd_construct_jets(args) -> int:
 
 
 def _cmd_construct_iterate(args) -> int:
-    ctx = _make_context(args.vars, [args.f] + _matrix_texts(args.matrix))
-    f = parse_poly(args.f, ctx)
-    w = _fractions(args.weights, "--weights")
-    matrix = _parse_matrix(_matrix_rows(args.matrix), ctx) if args.matrix else None
+    f, w, matrix = _seed(args)
     certs = iterate_tangent(f, w, args.steps, matrix)
     final = certs[-1]
     payload = certificate_to_json(final)
@@ -465,6 +466,8 @@ _STATUS_MAP = {
     "suspension": "inconclusive",
 }
 
+_EXPECTATIONS = ("free", "not_free", "inconclusive")
+
 _CONCLUSION_MAP = {
     "FreeCertificate": "free",
     "NotFree": "not_free",
@@ -483,15 +486,58 @@ class _EntryOutcome:
         self.detail = detail
 
 
-def _corpus_ctx(entry: dict) -> Context:
-    return Context(tuple(entry["vars"]))
-
-
 def _entry_matrix(entry: dict, ctx: Context, key: str = "matrix") -> PolyMatrix:
     data = entry.get(key)
     if data is None:
         raise PreconditionError(f"entry {entry['id']!r} needs a {key!r} field")
     return _parse_matrix(_matrix_entries(data), ctx)
+
+
+def _optional_matrix(obj: dict, ctx: Context) -> PolyMatrix | None:
+    data = obj.get("matrix")
+    return _parse_matrix(_matrix_entries(data), ctx) if data else None
+
+
+def _of_type(kind: type):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+
+    return check
+
+
+def _list_of(convert):
+    def check(value):
+        return [convert(x) for x in _of_type(list)(value)]
+
+    return check
+
+
+# (converter, description) of the per-check field types of a corpus entry
+_OBJECT = (_of_type(dict), "an object")
+_STRING = (_of_type(str), "a string")
+_STRINGS = (_list_of(_of_type(str)), "a list of strings")
+_INTEGERS = (_list_of(_of_type(int)), "a list of integers")
+_RATIONALS = (_list_of(Fraction), "a list of rationals")
+
+
+def _field(obj: dict, key: str, kind):
+    """obj[key] through the kind's converter.  A value of the wrong type
+    raises PreconditionError naming the field, so it becomes the entry's
+    error row instead of ending the run."""
+    convert, what = kind
+    value = obj[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise PreconditionError(f"field {key!r} must be {what}, got {value!r}") from None
+
+
+def _divisor(obj: dict) -> Poly:
+    """The 'f' of a nested corpus object over its own 'vars'."""
+    ctx = Context(tuple(_field(obj, "vars", _STRINGS)))
+    return parse_poly(_field(obj, "f", _STRING), ctx)
 
 
 def _verdict_outcome(verdict: FamilyVerdict, f: Poly) -> _EntryOutcome:
@@ -505,7 +551,16 @@ def _verdict_outcome(verdict: FamilyVerdict, f: Poly) -> _EntryOutcome:
     return _EntryOutcome(actual, certified, refuted, verdict.reason)
 
 
-def _check_divisor_matches(constructed: Poly, expected: Poly, what: str) -> None:
+def _check_divisor_matches(
+    constructed: Poly, expected: Poly, what: str, variables: str | None = None
+) -> None:
+    """Raise unless the construction gives the entry's divisor; with
+    `variables`, first unless it has the entry's variables."""
+    if variables and constructed.ctx.names != expected.ctx.names:
+        raise VerificationError(
+            "corpus_golden",
+            f"{variables} variables {constructed.ctx.names} differ from the entry's",
+        )
     if constructed != expected:
         raise VerificationError(
             "corpus_golden",
@@ -516,7 +571,7 @@ def _check_divisor_matches(constructed: Poly, expected: Poly, what: str) -> None
 
 def _run_entry_checked(entry: dict) -> _EntryOutcome:
     check = entry.get("check", "verify")
-    ctx = _corpus_ctx(entry)
+    ctx = Context(tuple(entry["vars"]))
     f = parse_poly(entry["f"], ctx)
     fstr = poly_to_str(f)
 
@@ -528,25 +583,26 @@ def _run_entry_checked(entry: dict) -> _EntryOutcome:
         return _verdict_outcome(is_free_binomial(f), f)
 
     if check == "euler3":
-        field = tuple(Fraction(c) for c in entry["field"])
+        field = tuple(_field(entry, "field", _RATIONALS))
         return _verdict_outcome(euler3_divisor(f, field), f)
 
     if check == "cone":
-        p = entry["params"]
+        p = _field(entry, "params", _OBJECT)
         verdict = cone_family(
             p["k"],
-            p["gammas"],
+            _field(p, "gammas", _INTEGERS),
             p["a"],
             p["b"],
             p["c"],
-            [Fraction(x) for x in p["alphas"]],
+            _field(p, "alphas", _RATIONALS),
         )
         if verdict.certificate is not None:
             _check_divisor_matches(verdict.certificate.divisor, f, "the cone construction")
         return _verdict_outcome(verdict, f)
 
     if check == "brieskorn":
-        fd = brieskorn_chain(*entry["params"]["t"], names=tuple(entry["vars"]))
+        t = _field(_field(entry, "params", _OBJECT), "t", _INTEGERS)
+        fd = brieskorn_chain(*t, names=tuple(entry["vars"]))
         _check_divisor_matches(fd.product, f, "the chain construction")
         if entry.get("matrix") is not None and fd.matrix != _entry_matrix(entry, ctx):
             raise VerificationError(
@@ -555,39 +611,34 @@ def _run_entry_checked(entry: dict) -> _EntryOutcome:
         return _EntryOutcome("free", certified=[fstr])
 
     if check == "sum_compose":
+        p = _field(entry, "params", _OBJECT)
         sides = []
-        for side in (entry["params"]["f"], entry["params"]["g"]):
-            sctx = Context(tuple(side["vars"]))
-            sf = parse_poly(side["f"], sctx)
-            sm = (
-                _parse_matrix(_matrix_entries(side["matrix"]), sctx)
-                if side.get("matrix")
-                else normal_crossing_matrix(sf)
+        for side in (_field(p, "f", _OBJECT), _field(p, "g", _OBJECT)):
+            sf = _divisor(side)
+            sm = _given_or_normal_crossing(
+                sf, _optional_matrix(side, sf.ctx), "side divisor needs an explicit matrix"
             )
-            if sm is None:
-                raise PreconditionError("side divisor needs an explicit matrix")
-            sides.append(
-                frame_divisor([sf], sm, weight=[Fraction(x) for x in side["weights"]])
-            )
+            sides.append(frame_divisor([sf], sm, weight=_field(side, "weights", _RATIONALS)))
         fd = sum_compose(sides[0], sides[1])
         _check_divisor_matches(fd.product.reordered(ctx.names), f, "the sum composition")
         return _EntryOutcome("free", certified=[fstr])
 
     if check == "substitution_reduced":
-        p = entry["params"]
-        factors = [parse_poly(t, ctx) for t in p["factors"]]
-        octx = Context(tuple(p["outer"]["vars"]))
-        overdict = is_free_binomial(parse_poly(p["outer"]["f"], octx))
+        p = _field(entry, "params", _OBJECT)
+        factors = [parse_poly(t, ctx) for t in _field(p, "factors", _STRINGS)]
+        outer = _field(p, "outer", _OBJECT)
+        outer_f = _divisor(outer)
+        overdict = is_free_binomial(outer_f)
         if not overdict.is_free:
             raise PreconditionError("the outer divisor of this entry must be free")
-        outer = frame_divisor(
-            [parse_poly(t, octx) for t in p["outer"]["factors"]],
+        outer_fd = frame_divisor(
+            [parse_poly(t, outer_f.ctx) for t in _field(outer, "factors", _STRINGS)],
             overdict.certificate.matrix,
         )
         try:
-            compose_factors(factors, outer, frame=None)
+            compose_factors(factors, outer_fd, frame=None)
         except CommonFactorError as err:
-            witness = parse_poly(p["witness"], ctx)
+            witness = parse_poly(_field(p, "witness", _STRING), ctx)
             if err.witness != witness:
                 raise VerificationError(
                     "corpus_golden",
@@ -604,8 +655,10 @@ def _run_entry_checked(entry: dict) -> _EntryOutcome:
         )
 
     if check == "obstruct":
-        p = entry.get("params", {})
-        form_texts = p.get("linear_forms") or list(ctx.names)
+        p = _field(entry, "params", _OBJECT) if "params" in entry else {}
+        form_texts = (
+            _field(p, "linear_forms", _STRINGS) if p.get("linear_forms") else list(ctx.names)
+        )
         ells = [parse_poly(t, ctx) for t in form_texts]
         report = smooth_times_nc_verdict(
             f, ells, smooth_asserted=p.get("assert_smooth", True)
@@ -619,35 +672,19 @@ def _run_entry_checked(entry: dict) -> _EntryOutcome:
         return _EntryOutcome("free", certified=[poly_to_str(cert.divisor)])
 
     if check == "jets":
-        p = entry["params"]
-        sctx = Context(tuple(p["vars"]))
-        seed = parse_poly(p["f"], sctx)
-        w = [Fraction(x) for x in p["weights"]]
-        matrix = _parse_matrix(_matrix_entries(p["matrix"]), sctx) if p.get("matrix") else None
-        hb = _hilbert_burch(seed, w, matrix)
+        p = _field(entry, "params", _OBJECT)
+        seed = _divisor(p)
+        w = _field(p, "weights", _RATIONALS)
+        hb = _hilbert_burch(seed, w, _optional_matrix(p, seed.ctx))
         cert = multi_jet_extend(seed, hb, w, p["m"])
-        constructed = cert.divisor
-        if tuple(constructed.ctx.names) != tuple(ctx.names):
-            raise VerificationError(
-                "corpus_golden",
-                f"jet variables {constructed.ctx.names} differ from the entry's",
-            )
-        _check_divisor_matches(constructed, f, "the jet construction")
+        _check_divisor_matches(cert.divisor, f, "the jet construction", "jet")
         return _EntryOutcome("free", certified=[fstr])
 
     if check == "iterate":
-        p = entry["params"]
-        sctx = Context(tuple(p["vars"]))
-        seed = parse_poly(p["f"], sctx)
-        w = [Fraction(x) for x in p["weights"]]
-        certs = iterate_tangent(seed, w, p["steps"])
-        constructed = certs[-1].divisor
-        if tuple(constructed.ctx.names) != tuple(ctx.names):
-            raise VerificationError(
-                "corpus_golden",
-                f"iterated variables {constructed.ctx.names} differ from the entry's",
-            )
-        _check_divisor_matches(constructed, f, "the iterated construction")
+        p = _field(entry, "params", _OBJECT)
+        seed = _divisor(p)
+        certs = iterate_tangent(seed, _field(p, "weights", _RATIONALS), p["steps"])
+        _check_divisor_matches(certs[-1].divisor, f, "the iterated construction", "iterated")
         return _EntryOutcome("free", certified=[fstr])
 
     raise PreconditionError(f"entry {entry['id']!r} has unknown check {check!r}")
@@ -707,6 +744,11 @@ def _load_corpus(path: str | None) -> list[dict]:
                 and all(isinstance(v, str) for v in entry["vars"])):
             raise PreconditionError(
                 f"corpus entry {i}: 'id' and 'f' must be strings, 'vars' a list of strings"
+            )
+        if entry["expect"] not in _EXPECTATIONS:
+            raise PreconditionError(
+                f"corpus entry {i}: 'expect' must be one of {', '.join(_EXPECTATIONS)}, "
+                f"got {entry['expect']!r}"
             )
     ids = [e["id"] for e in entries]
     if len(set(ids)) != len(ids):
@@ -899,12 +941,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NotHomogeneousError, PreconditionError) as exc:
+        print(f"error (precondition): {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except PolyError as exc:
         print(f"error (parse): {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PreconditionError as exc:
-        print(f"error (precondition): {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except CommonFactorError as exc:
         print(f"error (verification): {exc}", file=sys.stderr)
         print(f"gcd witness: {poly_to_str(exc.witness)}", file=sys.stderr)

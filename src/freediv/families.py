@@ -39,6 +39,7 @@ from .poly import (
     grevlex_key,
     normalize_primitive,
     poly_gcd,
+    poly_product,
     poly_to_str,
     squarefree_gcd,
     squarefree_on_line,
@@ -58,6 +59,7 @@ from .saito import (
     euler_frame,
     frame_divisor,
     hilbert_burch_from_framed,
+    minors_scalar,
     verify_saito,
 )
 
@@ -81,13 +83,6 @@ __all__ = [
     "iterate_tangent",
     "normal_crossing_matrix",
 ]
-
-
-def _product(ctx: Context, polys: Sequence[Poly]) -> Poly:
-    out = ctx.const(1)
-    for p in polys:
-        out = out * p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +198,10 @@ def _binomial_saito(
     xs = [ctx.var(ctx.names[i]) for i in x_idx]
     y = ctx.var(ctx.names[y_idx])
     z = ctx.var(ctx.names[z_idx])
-    mono_a = _product(ctx, [x ** e for x, e in zip(xs, a)])
-    mono_b = _product(ctx, [x ** e for x, e in zip(xs, b)])
+    mono_a = poly_product(ctx, [x ** e for x, e in zip(xs, a)])
+    mono_b = poly_product(ctx, [x ** e for x, e in zip(xs, b)])
     g = (mono_a * y ** alpha).scale(c1) + (mono_b * z ** beta).scale(c2)
-    f = _product(ctx, xs) * y ** u * z ** t * g
+    f = poly_product(ctx, xs) * y ** u * z ** t * g
     p = g.scale(u) + (mono_a * y ** (alpha - 1 + u)).scale(alpha * c1)
     q = g.scale(t) + (mono_b * z ** (beta - 1 + t)).scale(beta * c2)
     nall = ctx.nvars
@@ -513,12 +508,11 @@ def euler3_divisor(f: Poly, e: Sequence) -> FamilyVerdict:
     else:
         b = _euler3_case_all_nonzero(f, e)
         reason = "all coefficients nonzero: diagonal-plus-polar construction succeeded"
-    minors = b.signed_maximal_minors()
-    grad = list(f.gradient())
-    if minors == [g.scale(-1) for g in grad]:
+    lam = minors_scalar(b, f)
+    if lam == -1:
         b = b.scale_column(0, -1)
-        minors = b.signed_maximal_minors()
-    if minors != grad:
+        lam = minors_scalar(b, f)
+    if lam != 1:
         raise InternalCheckError(
             "signed maximal minors of the constructed matrix do not reproduce the gradient"
         )
@@ -751,7 +745,7 @@ def compose_factors(
         if fi.is_zero() or fi.is_constant():
             raise PreconditionError(f"substituent {i} must be nonzero and nonconstant")
     ygens = outer.ctx.gens()
-    coord_product = _product(outer.ctx, ygens)
+    coord_product = poly_product(outer.ctx, ygens)
     cofactor = divide_exact(outer.product, coord_product)
     if cofactor is None:
         raise PreconditionError(
@@ -855,24 +849,18 @@ def sum_compose(fd_f: FramedDivisor, fd_g: FramedDivisor) -> FramedDivisor:
     big = Context(names_f + names_g)
     nf, ng = len(names_f), len(names_g)
 
-    def embed_left(p: Poly) -> Poly:
-        return p.embedded(big)
-
     def embed_right(p: Poly) -> Poly:
         tmp = p.embedded(Context(names_g + names_f))
         return tmp.reordered(big.names)
 
-    f_big = embed_left(strict_f.product)
+    f_big = strict_f.product.embedded(big)
     g_big = embed_right(strict_g.product)
-    zero = big.zero()
-    cols: list[list[Poly]] = []
-    cols.append([embed_left(strict_f.matrix.entry(i, 0)) for i in range(nf)] + [zero] * ng)
-    cols.append([zero] * nf + [embed_right(strict_g.matrix.entry(i, 0)) for i in range(ng)])
-    for j in range(1, nf):
-        cols.append([embed_left(strict_f.matrix.entry(i, j)) for i in range(nf)] + [zero] * ng)
-    for j in range(1, ng):
-        cols.append([zero] * nf + [embed_right(strict_g.matrix.entry(i, j)) for i in range(ng)])
-    matrix = PolyMatrix(big, [[cols[c][r] for c in range(len(cols))] for r in range(nf + ng)])
+    blocks = block_diagonal([
+        strict_f.matrix.embedded(big),
+        PolyMatrix(big, [[embed_right(p) for p in row] for row in strict_g.matrix.rows]),
+    ])
+    # the two Euler columns first, then the annihilators of f and of g
+    matrix = blocks.submatrix(range(nf + ng), [0, nf, *range(1, nf), *range(nf + 1, nf + ng)])
     weight = tuple(fd_f.weight) + tuple(fd_g.weight)
     pair = frame_divisor([f_big, g_big], matrix, weight=weight)
     return compose_factors((f_big, g_big), _sum_outer_frame(), frame=pair)
@@ -971,8 +959,7 @@ def multi_jet_extend(
         raise PreconditionError(
             f"the Hilbert-Burch matrix must be {n}x{n - 1} over the divisor's context"
         )
-    grad = f.gradient()
-    if hb.matrix.signed_maximal_minors() != [g.scale(hb.scalar) for g in grad]:
+    if minors_scalar(hb.matrix, f) != hb.scalar:
         raise PreconditionError(
             "Hilbert-Burch re-validation failed: signed maximal minors do not "
             "match the declared multiple of the gradient"
@@ -996,9 +983,7 @@ def multi_jet_extend(
         PolyMatrix(big, [[star(p, big, grp) for p in row] for row in hb.matrix.rows])
         for grp in fresh
     ]
-    divisor = f.embedded(big)
-    for grp in fresh:
-        divisor = divisor * star(f, big, grp)
+    divisor = poly_product(big, [f.embedded(big)] + [star(f, big, grp) for grp in fresh])
     total = (m + 1) * n
     zero = big.zero()
     cols: list[list[Poly]] = []
@@ -1089,7 +1074,7 @@ def iterate_tangent(
             raise InternalCheckError("weighted degree drifted from 2^step * d")
         if len(factors) != step + 1:
             raise InternalCheckError("factor count drifted from step + 1")
-        if _product(big, factors) != current:
+        if poly_product(big, factors) != current:
             raise InternalCheckError("tracked factors no longer multiply to the divisor")
         certificates.append(cert)
     return certificates

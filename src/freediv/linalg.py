@@ -8,12 +8,12 @@ derivation.  Polynomial identities become one rational system, a row per
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Sequence
 
+from .matrices import PolyMatrix
 from .poly import (
     Context,
     Poly,
@@ -205,15 +205,9 @@ def _coefficient_system(
     return rows, rhs
 
 
-def vector_linear_solve(columns: Sequence[Sequence[Poly]], target: Sequence[Poly]) -> Vec | None:
-    """Rational c with sum_i c_i * columns[i] = target (vectors of polynomials)."""
-    if any(len(vec) != len(target) for vec in columns):
-        raise PolyError("vector length mismatch in linear solve")
-    return solve_linear(*_coefficient_system(columns, target))
-
-
 def poly_linear_solve(columns: Sequence[Poly], target: Poly) -> Vec | None:
-    return vector_linear_solve([[p] for p in columns], [target])
+    """Rational c with sum_i c_i * columns[i] = target."""
+    return solve_linear(*_coefficient_system([[p] for p in columns], [target]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +281,6 @@ def graded_membership(target: Poly, gens: Sequence[Poly]) -> MembershipResult:
         if c:
             mults[i] = mults[i] + ctx.monomial(e, c)
     return MembershipResult(True, tuple(mults))
-
-
-DEFAULT_SYZYGY_BOUND_ENV = "FREEDIV_SYZYGY_BOUND"
-
-
-def default_syzygy_bound(f: Poly) -> int:
-    """deg f + number of variables, overridable via FREEDIV_SYZYGY_BOUND."""
-    env = os.environ.get(DEFAULT_SYZYGY_BOUND_ENV)
-    if env is None:
-        return f.total_degree() + f.ctx.nvars
-    try:
-        bound = int(env)
-        if bound >= 0:
-            return bound
-    except ValueError:
-        pass
-    from .saito import PreconditionError  # local import to avoid a cycle
-
-    raise PreconditionError(
-        f"{DEFAULT_SYZYGY_BOUND_ENV} must be a non-negative integer, got {env!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -397,8 +370,6 @@ def koszul_homotopy_1cycle(omega: Sequence[Poly], a: Sequence, d=1):
     supported variables, or the verified boundary disagrees with omega.
     Raises if omega is not a cycle.
     """
-    from .matrices import PolyMatrix  # local import to avoid a cycle
-
     omega = list(omega)
     if not omega:
         raise PolyError("empty 1-form")

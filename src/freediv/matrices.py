@@ -52,11 +52,6 @@ class PolyMatrix:
         return PolyMatrix(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(ctx: Context, nrows: int, ncols: int) -> "PolyMatrix":
-        zero = ctx.zero()
-        return PolyMatrix(ctx, [[zero] * ncols for _ in range(nrows)])
-
-    @staticmethod
     def diagonal(entries: Sequence[Poly]) -> "PolyMatrix":
         if not entries:
             raise MatrixError("diagonal needs at least one entry")
@@ -66,19 +61,10 @@ class PolyMatrix:
         return PolyMatrix(ctx, [[entries[i] if i == j else zero for j in range(n)]
                                 for i in range(n)])
 
-    @staticmethod
-    def column(entries: Sequence[Poly]) -> "PolyMatrix":
-        if not entries:
-            raise MatrixError("column needs at least one entry")
-        return PolyMatrix(entries[0].ctx, [[e] for e in entries])
-
     # -- basic access ---------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple[Poly, ...]:
-        return self.rows[i]
 
     def col(self, j: int) -> tuple[Poly, ...]:
         return tuple(r[j] for r in self.rows)
@@ -128,11 +114,6 @@ class PolyMatrix:
 
     def embedded(self, big: Context) -> "PolyMatrix":
         return PolyMatrix(big, [[p.embedded(big) for p in r] for r in self.rows])
-
-    def reordered(self, new_order: Sequence[str]) -> "PolyMatrix":
-        """Entry-wise variable reorder; rows/columns are NOT permuted."""
-        new_ctx = Context(new_order)
-        return PolyMatrix(new_ctx, [[p.reordered(new_order) for p in r] for r in self.rows])
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -254,37 +235,23 @@ class PolyMatrix:
                 return got
             rlist = [i for i in range(n) if rmask >> i & 1]
             clist = [j for j in range(n) if cmask >> j & 1]
-            # pick the row or column with the fewest nonzero entries
-            best_kind, best_idx, best_count = "row", rlist[0], len(clist) + 1
-            for i in rlist:
-                cnt = sum(1 for j in clist if not rows[i][j].is_zero())
-                if cnt < best_count:
-                    best_kind, best_idx, best_count = "row", i, cnt
-            for j in clist:
-                cnt = sum(1 for i in rlist if not rows[i][j].is_zero())
-                if cnt < best_count:
-                    best_kind, best_idx, best_count = "col", j, cnt
-            total = zero
-            if best_kind == "row":
-                i = best_idx
-                s = rlist.index(i)
-                for t, j in enumerate(clist):
-                    a = rows[i][j]
-                    if a.is_zero():
-                        continue
-                    sub = rec(rmask & ~(1 << i), cmask & ~(1 << j))
-                    piece = a * sub
-                    total = total + (piece.scale(-1) if (s + t) % 2 else piece)
+            # expand along the line with the fewest nonzero entries, rows
+            # first on ties, as (i, j, parity) triples
+            nonzero = [[not rows[i][j].is_zero() for j in clist] for i in rlist]
+            counts = [sum(r) for r in nonzero] + [sum(c) for c in zip(*nonzero)]
+            best = counts.index(min(counts))
+            if best < len(rlist):
+                line = [(rlist[best], j, best + t) for t, j in enumerate(clist)]
             else:
-                j = best_idx
-                t = clist.index(j)
-                for s, i in enumerate(rlist):
-                    a = rows[i][j]
-                    if a.is_zero():
-                        continue
-                    sub = rec(rmask & ~(1 << i), cmask & ~(1 << j))
-                    piece = a * sub
-                    total = total + (piece.scale(-1) if (s + t) % 2 else piece)
+                t = best - len(rlist)
+                line = [(i, clist[t], s + t) for s, i in enumerate(rlist)]
+            total = zero
+            for i, j, parity in line:
+                a = rows[i][j]
+                if a.is_zero():
+                    continue
+                piece = a * rec(rmask & ~(1 << i), cmask & ~(1 << j))
+                total = total + (piece.scale(-1) if parity % 2 else piece)
             memo[key] = total
             return total
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly, poly_to_str, substitute
+from .poly import Poly, poly_product, poly_to_str, substitute
 from .linalg import fraction_det, graded_membership, poly_linear_solve, rref
 from .saito import (
     PreconditionError,
@@ -283,9 +283,7 @@ def smooth_times_nc_verdict(
     det_l = fraction_det(coeff_rows)
     if det_l == 0:
         raise PreconditionError("the linear forms are linearly dependent")
-    candidate = f
-    for ell in ells:
-        candidate = candidate * ell
+    candidate = poly_product(ctx, [f, *ells])
 
     checks: list[ObstructionCheck] = [
         ObstructionCheck("linear_independence", "satisfied", det_l),

@@ -438,8 +438,8 @@ def normalize_primitive(p: Poly) -> Poly:
     return p.scale(scale)
 
 
-def _content_wrt(p: Poly, v: int) -> tuple[list[Poly], int]:
-    """Coefficients of p as a univariate polynomial in variable v (dense list), plus deg_v."""
+def _content_wrt(p: Poly, v: int) -> list[Poly]:
+    """Coefficients of p as a univariate polynomial in variable v (dense list)."""
     d = max(e[v] for e in p.terms)
     coeffs: list[dict[Exponent, Fraction]] = [dict() for _ in range(d + 1)]
     for e, c in p.terms.items():
@@ -447,7 +447,7 @@ def _content_wrt(p: Poly, v: int) -> tuple[list[Poly], int]:
         k = ne[v]
         ne[v] = 0
         coeffs[k][tuple(ne)] = c
-    return [Poly(p.ctx, t) for t in coeffs], d
+    return [Poly(p.ctx, t) for t in coeffs]
 
 
 def _from_univariate(coeffs: list[Poly], v: int, ctx: Context) -> Poly:
@@ -544,8 +544,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     v = max(range(ctx.nvars), key=lambda i: counts[i])
     if counts[v] == 0:
         return ctx.const(1)
-    pa, _ = _content_wrt(p, v)
-    qa, _ = _content_wrt(q, v)
+    pa = _content_wrt(p, v)
+    qa = _content_wrt(q, v)
     cont_p = _uni_content(pa)
     cont_q = _uni_content(qa)
     a = _uni_div_exact(_uni_trim(pa), cont_p)
@@ -721,8 +721,19 @@ def product_squarefree(factors: Sequence[Poly]) -> tuple[bool, Poly | None]:
 
 
 # ---------------------------------------------------------------------------
-# substitution and the polar construction
+# products, substitution and the polar construction
 # ---------------------------------------------------------------------------
+
+
+def poly_product(ctx: Context, polys: Sequence[Poly]) -> Poly:
+    """The product of the polynomials, multiplied from the first factor on;
+    the constant 1 of ctx when there are none."""
+    if not polys:
+        return ctx.const(1)
+    out = polys[0]
+    for p in polys[1:]:
+        out = out * p
+    return out
 
 
 def substitute(h: Poly, args: Sequence[Poly]) -> Poly:

@@ -32,12 +32,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .linalg import bounded_syzygy_solve, default_syzygy_bound, fraction_det
+from .linalg import bounded_syzygy_solve, fraction_det
 from .matrices import PolyMatrix, matrix_to_json
 from .poly import (
     Context,
     Poly,
     divide_exact,
+    poly_product,
     poly_to_str,
     product_squarefree,
     sample_ints,
@@ -128,15 +129,9 @@ def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
             f"divisor has the repeated factor witness {poly_to_str(witness)}",
             witness=witness,
         )
-    grad = f.gradient()
     quotients = []
     failed = None
-    for j in range(n):
-        applied = f.ctx.zero()
-        for i in range(n):
-            g, a = grad[i], matrix.entry(i, j)
-            if not g.is_zero() and not a.is_zero():
-                applied = applied + g * a
+    for j, applied in enumerate(matrix.left_apply(f.gradient())):
         q = divide_exact(applied, f)
         if q is None:
             failed = (j, applied)
@@ -196,25 +191,13 @@ class FramedDivisor:
         return self.product.ctx
 
 
-def _apply_column(col: Sequence[Poly], g: Poly) -> Poly:
-    out = g.ctx.zero()
-    for i, c in enumerate(col):
-        if not c.is_zero():
-            d = g.derivative(i)
-            if not d.is_zero():
-                out = out + c * d
-    return out
-
-
 def frame_divisor(factors: Sequence[Poly], matrix: PolyMatrix,
                   weight: Sequence | None = None) -> FramedDivisor:
     """Verify a Saito matrix against a factored divisor, recording all multipliers."""
     factors = tuple(factors)
     if not factors:
         raise PreconditionError("at least one factor required")
-    product = factors[0]
-    for g in factors[1:]:
-        product = product * g
+    product = poly_product(factors[0].ctx, factors)
     if not squarefree_on_line(product):
         # exact factor-wise pass: names the offending factor or pairwise gcd
         ok, offender = product_squarefree(factors)
@@ -225,12 +208,12 @@ def frame_divisor(factors: Sequence[Poly], matrix: PolyMatrix,
                 witness=offender,
             )
     cert = verify_saito(product, matrix)
+    applied = [matrix.left_apply(g.gradient()) for g in factors]
     table = []
     for j in range(matrix.ncols):
-        col = matrix.col(j)
         row = []
         for i, g in enumerate(factors):
-            q = divide_exact(_apply_column(col, g), g)
+            q = divide_exact(applied[i][j], g)
             if q is None:
                 raise VerificationError(
                     "factor_not_logarithmic",
@@ -310,7 +293,7 @@ def euler_frame(f: Poly, weight: Sequence, matrix: PolyMatrix) -> FramedDivisor:
             if got is not None:
                 return got
     # fallback: expand E_w/d over the columns with bounded-degree multipliers
-    sol = bounded_syzygy_solve(matrix.cols(), euler_col, default_syzygy_bound(f))
+    sol = bounded_syzygy_solve(matrix.cols(), euler_col, f.total_degree() + n)
     if sol.particular is not None:
         for j0, h in enumerate(sol.particular):
             if h.is_constant() and not h.is_zero():
@@ -331,6 +314,26 @@ class HilbertBurch:
     scalar: Fraction
 
 
+def minors_scalar(matrix: PolyMatrix, f: Poly) -> Fraction | None:
+    """The scalar lam with signed maximal minors of the n x (n-1) matrix equal
+    to lam * grad f, or None when there is none.
+
+    lam is read off the first nonzero partial derivative; None also when f has
+    no nonzero partial."""
+    minors = matrix.signed_maximal_minors()
+    grad = f.gradient()
+    g0 = next((i for i, g in enumerate(grad) if not g.is_zero()), None)
+    if g0 is None:
+        return None
+    q = divide_exact(minors[g0], grad[g0])
+    if q is None or not q.is_constant():
+        return None
+    lam = q.constant_value()
+    if any(m != g.scale(lam) for m, g in zip(minors, grad)):
+        return None
+    return lam
+
+
 def hilbert_burch_from_framed(fd: FramedDivisor) -> HilbertBurch:
     """Drop the Euler column of a strict single-factor frame and normalize the
     annihilator block so its signed maximal minors equal the gradient exactly.
@@ -348,36 +351,21 @@ def hilbert_burch_from_framed(fd: FramedDivisor) -> HilbertBurch:
     f = fd.product
     n = f.ctx.nvars
     b = fd.matrix.submatrix(range(n), range(1, n))
-    minors = b.signed_maximal_minors()
-    grad = f.gradient()
-    lam: Fraction | None = None
-    for m, g in zip(minors, grad):
-        if g.is_zero():
-            continue
-        q = divide_exact(m, g)
-        if q is None or not q.is_constant():
-            raise VerificationError(
-                "hilbert_burch_mismatch",
-                "signed maximal minors are not a scalar multiple of the gradient",
-            )
-        lam = q.constant_value()
-        break
+    lam = minors_scalar(b, f)
     if lam is None or lam == 0:
-        raise VerificationError("hilbert_burch_mismatch", "degenerate minors")
-    for m, g in zip(minors, grad):
-        if m != g.scale(lam):
-            raise VerificationError(
-                "hilbert_burch_mismatch",
-                "signed maximal minors are not a uniform scalar multiple of the gradient",
-            )
+        raise VerificationError(
+            "hilbert_burch_mismatch",
+            "signed maximal minors are not a nonzero scalar multiple of the gradient",
+        )
     if lam != 1:
         if b.ncols == 0:
             # one variable: the only minor is the empty determinant 1, and no
             # column exists to absorb the ratio, so report the scalar as is
             return HilbertBurch(f, b, lam)
         b = b.scale_column(0, 1 / lam)
-        minors = b.signed_maximal_minors()
-    assert list(minors) == list(grad), "normalization failed to reproduce the gradient"
+        assert b.signed_maximal_minors() == list(f.gradient()), (
+            "normalization failed to reproduce the gradient"
+        )
     return HilbertBurch(f, b, Fraction(1))
 
 
@@ -403,21 +391,14 @@ def saito_from_xifi(f: Poly, syzygies: PolyMatrix) -> SaitoCertificate:
     n = ctx.nvars
     if syzygies.ctx != ctx or syzygies.nrows != n or syzygies.ncols != n - 1:
         raise PreconditionError(f"need an {n}x{n - 1} syzygy matrix over the divisor context")
-    gens = xifi_generators(f)
-    for j in range(n - 1):
-        s = ctx.zero()
-        for i in range(n):
-            s = s + syzygies.entry(i, j) * gens[i]
+    for j, s in enumerate(syzygies.left_apply(xifi_generators(f))):
         if not s.is_zero():
             raise PreconditionError(f"column {j} is not a syzygy of (x_i f_i)")
     xs = [ctx.var(nm) for nm in ctx.names]
     scaled = PolyMatrix(ctx, [[xs[i] * syzygies.entry(i, j) for j in range(n - 1)]
                               for i in range(n)])
     full = scaled.with_column(xs)
-    g = f
-    for x in xs:
-        g = g * x
-    return verify_saito(g, full)
+    return verify_saito(poly_product(ctx, [f, *xs]), full)
 
 
 def free_multiple_via_xifi(f: Poly, bound: int = 1) -> SaitoCertificate:

@@ -142,6 +142,17 @@ class TestVerify:
         assert err.startswith(f"error (parse): cannot read {path}: 'utf-8' codec")
         assert err.count("\n") == 1
 
+    def test_matrix_file_is_read_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        path.write_text(DIAG2)
+        reads = []
+        read_text = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda p: reads.append(p) or read_text(p))
+        code, _, err = run_cli(capsys, "verify", "--f", "x*y", "--matrix", f"@{path}")
+        assert code == EXIT_OK
+        assert "inferred" in err
+        assert reads == [str(path)]
+
     def test_malformed_matrix_json_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--f", "x*y", "--vars", "x,y", "--matrix", "[[x"
@@ -327,6 +338,19 @@ class TestConstruct:
         assert code == EXIT_PRECONDITION
         assert "--matrix" in err
 
+    def test_inhomogeneous_weights_exit_3(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "construct", "tangent",
+            "--f", "x^2+y^2", "--vars", "x,y", "--weights", "1,2",
+            "--matrix", '[["x","-y"],["y","x"]]',
+        )
+        assert code == EXIT_PRECONDITION
+        assert err == (
+            "error (precondition): not homogeneous for weights ('1', '2'): "
+            "degrees ['2', '4']\n"
+        )
+
     def test_jets_line(self, capsys):
         code, payload, _ = run_cli(
             capsys,
@@ -491,6 +515,22 @@ class TestCorpus:
             f"a: FAIL expect=not_free actual=error: missing field {field!r}"
         )
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"check": "brieskorn", "params": {"t": 5}},
+         "field 't' must be a list of integers, got 5"),
+        ({"check": "cone", "params": {"k": 1, "gammas": [0, 1, "q"], "a": 2, "b": 1,
+                                      "c": 1, "alphas": ["1"]}},
+         "field 'gammas' must be a list of integers, got [0, 1, 'q']"),
+        ({"check": "obstruct", "params": None}, "field 'params' must be an object, got None"),
+    ])
+    def test_check_field_of_wrong_type_is_an_error_row(
+        self, capsys, tmp_path, entry, message
+    ):
+        entry = {"id": "a", "vars": ["x", "y"], "f": "x*y", "expect": "free", **entry}
+        code, out, _ = self.run_corpus(capsys, tmp_path, [entry])
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines()[0] == f"a: FAIL expect=free actual=error: {message}"
+
     @pytest.mark.parametrize("entries, message", [
         ([5], "corpus entry 0 is not an object"),
         ([{"id": "a", "vars": ["x"], "f": "x", "expect": "free"},
@@ -499,6 +539,8 @@ class TestCorpus:
         ([{"id": "a", "vars": ["x"], "f": "x"}], "corpus entry 0 has no 'expect' field"),
         ([{"id": "a", "vars": "x", "f": "x", "expect": "free"}],
          "corpus entry 0: 'id' and 'f' must be strings, 'vars' a list of strings"),
+        ([{"id": "a", "vars": ["x"], "f": "x", "expect": "fre"}],
+         "corpus entry 0: 'expect' must be one of free, not_free, inconclusive, got 'fre'"),
     ])
     def test_malformed_entry_rejected_before_any_runs(
         self, capsys, tmp_path, entries, message
@@ -517,17 +559,33 @@ class TestCorpus:
         assert err == f"error (parse): cannot read {missing}: No such file or directory\n"
 
 
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "cli_examples.json").read_text()
-)
+def _golden(name):
+    return json.loads((pathlib.Path(__file__).parent / "golden" / name).read_text())
+
+
+def _assert_golden(capsys, case):
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+GOLDEN = _golden("cli_examples.json")
+GOLDEN_PATHS = _golden("cli_paths.json")
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][:2]) for c in GOLDEN])
 def test_golden_output_is_byte_identical(capsys, case):
     # every README example, corpus run, and the classic failure paths
-    code = main(case["argv"])
-    out, err = capsys.readouterr()
-    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    _assert_golden(capsys, case)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_PATHS, ids=[" ".join(c["argv"][:2]) for c in GOLDEN_PATHS]
+)
+def test_golden_paths_are_byte_identical(capsys, case):
+    # the Euler-frame syzygy fallback, given and missing matrices, matrix
+    # decoding failures and precondition failures of the constructions
+    _assert_golden(capsys, case)
 
 
 class TestArgparseBehavior:

@@ -8,7 +8,6 @@ import pytest
 
 from freediv.linalg import (
     bounded_syzygy_solve,
-    default_syzygy_bound,
     euler_annihilators,
     graded_membership,
     koszul_contract_1form,
@@ -24,7 +23,6 @@ from freediv.linalg import (
 )
 from freediv.matrices import PolyMatrix
 from freediv.poly import Context, NotHomogeneousError, PolyError, parse_poly
-from freediv.saito import PreconditionError
 
 from helpers import CASES, make_rng, rand_nonzero, rand_poly
 
@@ -205,21 +203,6 @@ def test_bounded_syzygy_respects_bound():
     assert r.basis == ()
     r2 = bounded_syzygy_solve([P("x^2"), P("y^2")], XYZ.zero(), 2)
     assert len(r2.basis) == 1
-
-
-def test_default_syzygy_bound(monkeypatch):
-    f = P("x^2*y")
-    assert default_syzygy_bound(f) == 3 + 3
-    monkeypatch.setenv("FREEDIV_SYZYGY_BOUND", "11")
-    assert default_syzygy_bound(f) == 11
-
-
-@pytest.mark.parametrize("value", ["x", "2.5", "", "-1"])
-def test_default_syzygy_bound_rejects_malformed(monkeypatch, value):
-    monkeypatch.setenv("FREEDIV_SYZYGY_BOUND", value)
-    with pytest.raises(PreconditionError) as exc:
-        default_syzygy_bound(P("x^2*y"))
-    assert "FREEDIV_SYZYGY_BOUND" in str(exc.value) and repr(value) in str(exc.value)
 
 
 def test_random_syzygies_verify():

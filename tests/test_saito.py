@@ -22,6 +22,7 @@ from freediv.saito import (
     frame_divisor,
     free_multiple_via_xifi,
     hilbert_burch_from_framed,
+    minors_scalar,
     saito_from_xifi,
     verify_saito,
     xifi_generators,
@@ -346,6 +347,34 @@ def test_euler_frame_weight_preconditions():
         euler_frame(f, [1, -1], diag)  # annihilating weight: degree 0
     with pytest.raises(NotHomogeneousError):
         euler_frame(parse_poly("x1*x2 + x1", ctx), [1, 1], diag)
+
+
+def test_euler_frame_syzygy_fallback(monkeypatch):
+    # diag(x, y) times a unimodular matrix: no column has a scalar logarithmic
+    # quotient, but E/2 = (c0 + c1)/2, which the bounded syzygy solve finds
+    ctx = Context(["x", "y"])
+    f = parse_poly("x*y", ctx)
+    bounds = []
+    solve = freediv.saito.bounded_syzygy_solve
+
+    def recording(gens, target, bound):
+        bounds.append(bound)
+        return solve(gens, target, bound)
+
+    monkeypatch.setattr(freediv.saito, "bounded_syzygy_solve", recording)
+    fd = euler_frame(f, [1, 1], M([["x - x^2", "x^2"], ["-x*y", "y + x*y"]], ctx))
+    assert bounds == [4]  # deg f + number of variables
+    assert column_roles(fd) == ["euler:0", "annihilator"]
+
+
+def test_minors_scalar():
+    ctx = Context(["x", "y"])
+    f = parse_poly("x*y", ctx)
+    # the signed maximal minors of the column (a, b) are (b, -a)
+    assert minors_scalar(M([["-2*x"], ["2*y"]], ctx), f) == 2
+    assert minors_scalar(M([["x"], ["y"]], ctx), f) is None
+    assert minors_scalar(M([["x^2"], ["x*y"]], ctx), f) is None
+    assert minors_scalar(M([["0"], ["0"]], ctx), f) == 0
 
 
 def test_hilbert_burch_requires_strict_frame():
