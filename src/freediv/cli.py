@@ -27,10 +27,10 @@ from .families import (
     compose_factors,
     cone_family,
     euler3_divisor,
+    given_or_normal_crossing,
     is_free_binomial,
     iterate_tangent,
     multi_jet_extend,
-    normal_crossing_matrix,
     sum_compose,
     tangent_extend,
     triangular_extend,
@@ -81,7 +81,7 @@ def _infer_names(texts: Sequence[str]) -> tuple[str, ...]:
 
 def _make_context(vars_opt: str | None, texts: Sequence[str]) -> Context:
     if vars_opt:
-        names = tuple(s.strip() for s in vars_opt.split(",") if s.strip())
+        names = _split(vars_opt)
         if not names:
             raise PolyError("--vars must list at least one name")
         return Context(names)
@@ -95,22 +95,8 @@ def _make_context(vars_opt: str | None, texts: Sequence[str]) -> Context:
     return Context(names)
 
 
-def _fractions(text: str, what: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolyError(f"cannot parse {what} {text!r}: {exc}") from None
-
-
-def _ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
-    except ValueError as exc:
-        raise PolyError(f"cannot parse {what} {text!r}: {exc}") from None
-
-
-def _split_names(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _split(text: str, sep: str = ",") -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(sep) if s.strip())
 
 
 def _read_text(path: str) -> str:
@@ -136,11 +122,8 @@ def _matrix_entries(data) -> list[list[str]]:
     return data
 
 
-def _matrix_rows(text: str | None) -> list[list[str]]:
-    """Decode a matrix argument: inline JSON or @file, entries as strings;
-    no argument gives no rows."""
-    if text is None:
-        return []
+def _matrix_rows(text: str) -> list[list[str]]:
+    """Decode a matrix argument: inline JSON or @file, entries as strings."""
     raw = _read_text(text[1:]) if text.startswith("@") else text
     try:
         data = json.loads(raw)
@@ -153,29 +136,14 @@ def _parse_matrix(rows: list[list[str]], ctx: Context) -> PolyMatrix:
     return PolyMatrix(ctx, [[parse_poly(cell, ctx) for cell in row] for row in rows])
 
 
-def _cells(rows: list[list[str]]) -> list[str]:
-    """Entry strings of decoded matrix rows, for variable inference."""
-    return [cell for row in rows for cell in row]
-
-
-def _seed(args) -> tuple[Poly, tuple[Fraction, ...], PolyMatrix | None]:
-    """The divisor, weights and given matrix (None without --matrix) of the
-    jet constructions."""
-    rows = _matrix_rows(args.matrix)
-    ctx = _make_context(args.vars, [args.f] + _cells(rows))
-    f = parse_poly(args.f, ctx)
-    w = _fractions(args.weights, "--weights")
-    return f, w, (_parse_matrix(rows, ctx) if rows else None)
-
-
-def _given_or_normal_crossing(f: Poly, matrix: PolyMatrix | None, message: str) -> PolyMatrix:
-    """The given matrix, else the normal-crossing matrix of a scaled
-    squarefree monomial f, else PreconditionError(message)."""
-    if matrix is None:
-        matrix = normal_crossing_matrix(f)
-        if matrix is None:
-            raise PreconditionError(message)
-    return matrix
+def _parse_with(
+    texts: Sequence[str], vars_opt: str | None, rows: list[list[str]] | None
+) -> tuple[list[Poly], PolyMatrix | None]:
+    """Polynomials and decoded matrix rows (None without any) over --vars,
+    else over the names they use in order of first occurrence."""
+    rows = rows or []
+    ctx = _make_context(vars_opt, list(texts) + [cell for row in rows for cell in row])
+    return [parse_poly(t, ctx) for t in texts], (_parse_matrix(rows, ctx) if rows else None)
 
 
 def _shape(p: Poly) -> dict:
@@ -224,40 +192,28 @@ def _verdict_payload(verdict: FamilyVerdict) -> dict:
     return payload
 
 
-def _hilbert_burch(f: Poly, w: Sequence[Fraction], matrix: PolyMatrix | None):
-    matrix = _given_or_normal_crossing(
-        f, matrix, "the divisor is not a scaled squarefree monomial; supply --matrix"
-    )
-    return hilbert_burch_from_framed(euler_frame(f, w, matrix))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_parse(args) -> int:
-    ctx = _make_context(args.vars, [args.f])
-    p = parse_poly(args.f, ctx)
+    (p,), _ = _parse_with([args.f], args.vars, None)
     shape = _shape(p)
-    if parse_poly(shape["f"], ctx) != p:
+    if parse_poly(shape["f"], p.ctx) != p:
         raise InternalCheckError("canonical form failed to round-trip through the parser")
     _emit(shape)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    rows = _matrix_rows(args.matrix)
-    ctx = _make_context(args.vars, [args.f] + _cells(rows))
-    f = parse_poly(args.f, ctx)
-    cert = verify_saito(f, _parse_matrix(rows, ctx))
-    _emit(certificate_to_json(cert))
+    (f,), matrix = _parse_with([args.f], args.vars, _matrix_rows(args.matrix))
+    _emit(certificate_to_json(verify_saito(f, matrix)))
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    ctx = _make_context(args.vars, [args.f])
-    p = parse_poly(args.f, ctx)
+    (p,), _ = _parse_with([args.f], args.vars, None)
     if p.is_zero():
         raise PreconditionError("cannot analyze the zero polynomial")
     payload = _shape(p)
@@ -278,181 +234,385 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    form_texts = (
-        [s.strip() for s in args.linear_forms.split(";") if s.strip()]
-        if args.linear_forms
-        else []
-    )
-    ctx = _make_context(args.vars, [args.f] + form_texts)
-    f = parse_poly(args.f, ctx)
-    if not form_texts:
-        form_texts = list(ctx.names)
-    ells = [parse_poly(t, ctx) for t in form_texts]
+    form_texts = _split(args.linear_forms, ";") if args.linear_forms else ()
+    (f, *ells), _ = _parse_with([args.f, *form_texts], args.vars, None)
+    ells = ells or [parse_poly(t, f.ctx) for t in f.ctx.names]
     report = smooth_times_nc_verdict(f, ells, smooth_asserted=args.assert_smooth)
     _emit(obstruction_report_to_json(report))
     return EXIT_OK
 
 
-def _cmd_construct_binomial(args) -> int:
-    n = args.n
-    a = _ints(args.a, "--a") if args.a else (0,) * n
-    b = _ints(args.b, "--b") if args.b else (0,) * n
-    kwargs = {}
-    if args.x_names:
-        kwargs["x_names"] = _split_names(args.x_names)
-    if args.y_name:
-        kwargs["y_name"] = args.y_name
-    if args.z_name:
-        kwargs["z_name"] = args.z_name
-    spec = BinomialSpec(
-        n=n,
-        a=a,
-        b=b,
-        alpha=args.alpha,
-        beta=args.beta,
-        u=args.u,
-        t=args.t,
-        **kwargs,
-    )
-    cert = binomial_divisor(spec)
-    payload = certificate_to_json(cert)
-    payload["family"] = "binomial"
+def _cmd_construct(args) -> int:
+    row = _FAMILIES[args.family]
+    params = {param.name: param.from_args(args) for param in row.params}
+    payload = row.payload(row.build(**params), params)
+    payload["family"] = row.family
     _emit(payload)
     return EXIT_OK
 
 
-def _cmd_construct_brieskorn(args) -> int:
-    t = _ints(args.t, "--t")
-    names = _split_names(args.names) if args.names else None
-    fd = brieskorn_chain(*t, names=names)
-    payload = _framed_payload(fd)
-    payload["family"] = "brieskorn"
-    _emit(payload)
-    return EXIT_OK
+# ---------------------------------------------------------------------------
+# parameter kinds: one decoder from option text, one from corpus JSON
+# ---------------------------------------------------------------------------
 
 
-def _cmd_construct_triangular(args) -> int:
-    t1, t2 = _ints(args.t, "--t")
-    names = _split_names(args.names) if args.names else ("x1", "x2")
-    fd = brieskorn_seed(t1, t2, names=names)
-    for step_text in args.step or []:
-        parts = [s.strip() for s in step_text.split(",")]
-        if len(parts) != 5:
-            raise PolyError(
-                f"--step wants 'a,b,alpha,beta,new_var', got {step_text!r}"
-            )
+class _Kind:
+    """A parameter type.  `text(text, flag)` decodes option text and raises
+    PolyError; a kind without it is converted by argparse with the keywords in
+    `option`, or is read from the corpus only.  `json(value)` decodes a corpus
+    value and raises TypeError or ValueError, which `_field` reports as the
+    field's error."""
+
+    def __init__(self, what: str, text, json, **option):
+        self.what, self.text, self.json, self.option = what, text, json, option
+
+
+def _tokens(convert):
+    """Text decoder of comma-separated tokens."""
+
+    def decode(text: str, flag: str) -> tuple:
         try:
-            step = TriangularStep(
-                a=int(parts[0]),
-                b=int(parts[1]),
-                alpha=Fraction(parts[2]),
-                beta=Fraction(parts[3]),
-                new_var=parts[4],
-            )
-        except ValueError as exc:
-            raise PolyError(f"cannot parse --step {step_text!r}: {exc}") from None
-        fd = triangular_extend(fd, step)
-    payload = _framed_payload(fd)
-    payload["family"] = "triangular"
-    _emit(payload)
-    return EXIT_OK
+            return tuple(convert(tok.strip()) for tok in text.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PolyError(f"cannot parse {flag} {text!r}: {exc}") from None
+
+    return decode
 
 
-def _cmd_construct_compose(args) -> int:
-    factor_texts = [s.strip() for s in args.factors.split(";") if s.strip()]
-    rows = _matrix_rows(args.matrix)
-    ctx = _make_context(args.vars, factor_texts + _cells(rows))
-    factors = [parse_poly(t, ctx) for t in factor_texts]
-    frame = None
-    if rows:
-        frame = frame_divisor(factors, _parse_matrix(rows, ctx))
-    outer_texts = [s.strip() for s in args.outer_factors.split(";") if s.strip()]
-    outer_rows = _matrix_rows(args.outer_matrix)
-    outer_ctx = _make_context(args.outer_vars, outer_texts + _cells(outer_rows))
+def _json_type(*types):
+    """JSON decoder that passes values of the given types only; true and false
+    are not integers."""
+
+    def decode(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise TypeError(value)
+        return value
+
+    return decode
+
+
+def _list_of(item):
+    def decode(value):
+        return tuple(map(item, _json_type(list)(value)))
+
+    return decode
+
+
+def _steps(texts: list[str], flag: str) -> list[TriangularStep]:
+    steps = []
+    for text in texts:
+        parts = [s.strip() for s in text.split(",")]
+        if len(parts) != 5:
+            raise PolyError(f"{flag} wants 'a,b,alpha,beta,new_var', got {text!r}")
+        try:
+            a, b, alpha, beta = int(parts[0]), int(parts[1]), Fraction(parts[2]), Fraction(parts[3])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PolyError(f"cannot parse {flag} {text!r}: {exc}") from None
+        steps.append(TriangularStep(a=a, b=b, alpha=alpha, beta=beta, new_var=parts[4]))
+    return steps
+
+
+_INT = _Kind("an integer", None, _json_type(int), type=int)
+_INTS = _Kind("a list of integers", _tokens(int), _list_of(_json_type(int)))
+_RATIONALS = _Kind(
+    "a list of rationals", _tokens(Fraction), _list_of(lambda v: Fraction(_json_type(int, str)(v)))
+)
+_NAMES = _Kind("a list of strings", lambda text, flag: _split(text), _list_of(_json_type(str)))
+_NAME_GROUPS = _Kind(
+    "a list of lists of strings",
+    lambda text, flag: tuple(_split(group) for group in text.split(";")),
+    _list_of(_list_of(_json_type(str))),
+)
+_FLAG = _Kind("a boolean", None, _json_type(bool))
+_STRING = _Kind("a string", lambda text, flag: text, _json_type(str))
+_MATRIX = _Kind("a matrix", lambda text, flag: _matrix_rows(text), _matrix_entries)
+_STEPS = _Kind("a list of steps", _steps, None, action="append")
+_OBJECT = _Kind("an object", None, _json_type(dict))
+
+
+def _field(obj: dict, key: str, kind: _Kind):
+    """obj[key] through the kind's JSON decoder.  A value of the wrong type
+    raises PreconditionError naming the field, so it becomes the entry's
+    error row instead of ending the run."""
+    value = obj[key]
+    try:
+        return kind.json(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise PreconditionError(f"field {key!r} must be {kind.what}, got {value!r}") from None
+
+
+class _Param:
+    """A parameter of a row: its kind, its `construct` option --name (none
+    without `option`) and its corpus field, a dotted path from the entry
+    (default params.name).  An optional parameter that is absent, or given
+    as empty option text, is None."""
+
+    def __init__(self, name, kind, help=None, required=False, field=None, option=True):
+        self.name, self.kind, self.help, self.required = name, kind, help, required
+        self.flags = ["--" + name.replace("_", "-")] if option else []
+        self.path = (field or "params." + name).split(".")
+
+    def options(self) -> list[tuple]:
+        """(flag, kind, required, help) of each option, in help order."""
+        return [(flag, self.kind, self.required, self.help) for flag in self.flags]
+
+    def from_args(self, args):
+        value = getattr(args, self.name, None)
+        if self.kind.text is None:
+            return value
+        return self.kind.text(value, self.flags[0]) if value or self.required else None
+
+    def from_entry(self, entry: dict):
+        obj, (*parents, key) = entry, self.path
+        for parent in parents:
+            obj = _field(obj, parent, _OBJECT) if parent in obj or self.required else {}
+        return _field(obj, key, self.kind) if key in obj or self.required else None
+
+
+_NOT_MONOMIAL = "the divisor is not a scaled squarefree monomial; supply --matrix"
+_SAITO_HELP = "Saito matrix for f (default: normal crossing)"
+
+
+class _Divisor:
+    """A decoded seed: the divisor, its weights, the given matrix (None
+    without one) and the message for a divisor that needs one."""
+
+    def __init__(self, divisor: Poly, weights, matrix: PolyMatrix | None, missing: str):
+        self.divisor, self.weights, self.matrix, self.missing = divisor, weights, matrix, missing
+
+    def _matrix(self) -> PolyMatrix:
+        return given_or_normal_crossing(self.divisor, self.matrix, self.missing)
+
+    def framed(self) -> FramedDivisor:
+        return frame_divisor([self.divisor], self._matrix(), weight=self.weights)
+
+    def hilbert_burch(self):
+        return hilbert_burch_from_framed(euler_frame(self.divisor, self.weights, self._matrix()))
+
+
+class _Seed:
+    """The seed kind, a parameter like _Param: a divisor with its variables,
+    weights and optional matrix, read together because f and the matrix
+    name the variables.  Options --f (or --g) with --[g-]vars, --[g-]weights
+    and --[g-]matrix; corpus fields vars, f, weights and matrix of `params`,
+    or of its member `name` for a `side` of a two-sided construction."""
+
+    def __init__(self, name="f", side=False, weights_help=None, matrix_help=None):
+        self.name, self.side, self.helps = name, side, (weights_help, matrix_help)
+        self.prefix = "" if name == "f" else name + "-"
+
+    def options(self) -> list[tuple]:
+        p = self.prefix
+        return [
+            ("--" + self.name, _STRING, True, None),
+            (f"--{p}vars", _NAMES, False, None),
+            (f"--{p}weights", _RATIONALS, True, self.helps[0]),
+            (f"--{p}matrix", _MATRIX, False, self.helps[1]),
+        ]
+
+    def from_args(self, args) -> _Divisor:
+        p, dest = self.prefix, self.prefix.replace("-", "_")
+        text = getattr(args, dest + "matrix")
+        rows = None if text is None else _matrix_rows(text)
+        (f,), matrix = _parse_with([getattr(args, self.name)], getattr(args, dest + "vars"), rows)
+        weights = _RATIONALS.text(getattr(args, dest + "weights"), f"--{p}weights")
+        missing = (
+            f"the {p or 'first'} divisor is not a scaled squarefree monomial; supply --{p}matrix"
+            if self.side else _NOT_MONOMIAL
+        )
+        return _Divisor(f, weights, matrix, missing)
+
+    def from_entry(self, entry: dict) -> _Divisor:
+        obj = _field(entry, "params", _OBJECT)
+        if self.side:
+            obj = _field(obj, self.name, _OBJECT)
+        ctx = Context(_field(obj, "vars", _NAMES))
+        f = parse_poly(_field(obj, "f", _STRING), ctx)
+        data = obj.get("matrix")
+        matrix = _parse_matrix(_matrix_entries(data), ctx) if data else None
+        weights = _field(obj, "weights", _RATIONALS)
+        return _Divisor(
+            f, weights, matrix, "side divisor needs an explicit matrix" if self.side else _NOT_MONOMIAL
+        )
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+
+def _binomial(n, a, b, alpha, beta, u, t, **names):
+    names = {key: value for key, value in names.items() if value is not None}
+    a, b = a or (0,) * n, b or (0,) * n
+    return binomial_divisor(BinomialSpec(n=n, a=a, b=b, alpha=alpha, beta=beta, u=u, t=t, **names))
+
+
+def _brieskorn(t, names, matrix) -> FramedDivisor:
+    fd = brieskorn_chain(*t, names=names)
+    if matrix is not None and fd.matrix != _parse_matrix(matrix, fd.ctx):
+        raise VerificationError("corpus_golden", "the chain's matrix differs from the frozen one")
+    return fd
+
+
+def _triangular(t, names, step) -> FramedDivisor:
+    if len(t) != 2:
+        raise PolyError(f"--t wants the two exponents 't1,t2', got {','.join(map(str, t))!r}")
+    fd = brieskorn_seed(*t, names=("x1", "x2") if names is None else names)
+    for s in step or ():
+        fd = triangular_extend(fd, s)
+    return fd
+
+
+def _compose(factors, matrix, vars, outer_factors, outer_matrix, outer_vars) -> FramedDivisor:
+    inner, frame = _parse_with(_split(factors, ";"), vars, matrix)
+    if frame is not None:
+        frame = frame_divisor(inner, frame)
+    outer, outer_frame = _parse_with(_split(outer_factors, ";"), outer_vars, outer_matrix)
+    return compose_factors(inner, frame_divisor(outer, outer_frame), frame=frame)
+
+
+def _obstruct_entry(f: Poly, linear_forms, assert_smooth) -> _EntryOutcome:
+    ells = [parse_poly(t, f.ctx) for t in linear_forms or f.ctx.names]
+    report = smooth_times_nc_verdict(
+        f, ells, smooth_asserted=True if assert_smooth is None else assert_smooth
+    )
+    actual = _CONCLUSION_MAP[report.conclusion]
+    refuted = [poly_to_str(report.candidate)] if actual == "not_free" else []
+    return _EntryOutcome(actual, refuted=refuted, detail=report.conclusion)
+
+
+def _substitution_entry(
+    f: Poly, factors, outer_vars, outer_f, outer_factors, witness
+) -> _EntryOutcome:
+    inner = [parse_poly(t, f.ctx) for t in factors]
+    outer_ctx = Context(outer_vars)
+    verdict = is_free_binomial(parse_poly(outer_f, outer_ctx))
+    if not verdict.is_free:
+        raise PreconditionError("the outer divisor of this entry must be free")
     outer = frame_divisor(
-        [parse_poly(t, outer_ctx) for t in outer_texts],
-        _parse_matrix(outer_rows, outer_ctx),
+        [parse_poly(t, outer_ctx) for t in outer_factors], verdict.certificate.matrix
     )
-    fd = compose_factors(factors, outer, frame=frame)
-    payload = _framed_payload(fd)
-    payload["family"] = "compose"
-    _emit(payload)
-    return EXIT_OK
-
-
-def _framed_side(f_text, vars_opt, weights_text, matrix_text, label) -> FramedDivisor:
-    rows = _matrix_rows(matrix_text)
-    ctx = _make_context(vars_opt, [f_text] + _cells(rows))
-    f = parse_poly(f_text, ctx)
-    w = _fractions(weights_text, f"--{label}weights")
-    matrix = _given_or_normal_crossing(
-        f,
-        _parse_matrix(rows, ctx) if rows else None,
-        f"the {label or 'first'} divisor is not a scaled squarefree "
-        f"monomial; supply --{label}matrix",
+    try:
+        compose_factors(inner, outer, frame=None)
+    except CommonFactorError as err:
+        if err.witness != parse_poly(witness, f.ctx):
+            raise VerificationError(
+                "corpus_golden", f"unexpected gcd witness {poly_to_str(err.witness)}"
+            )
+        _check_divisor_matches(err.substituted, f, "the substituted product")
+        return _EntryOutcome(
+            "not_free", refuted=[poly_to_str(f)], detail="non-reduced substitution detected"
+        )
+    raise VerificationError(
+        "corpus_golden", "expected a common-factor rejection, none was raised"
     )
-    return frame_divisor([f], matrix, weight=w)
 
 
-def _cmd_construct_sum_compose(args) -> int:
-    fd_f = _framed_side(args.f, args.vars, args.weights, args.matrix, "")
-    fd_g = _framed_side(args.g, args.g_vars, args.g_weights, args.g_matrix, "g-")
-    fd = sum_compose(fd_f, fd_g)
-    payload = _framed_payload(fd)
-    payload["family"] = "sum-compose"
-    _emit(payload)
-    return EXIT_OK
+class _Row:
+    """A row of the family table: a `construct` subcommand (`family`), a
+    corpus check (`check`) or both.  `build(**params)` calls the library and
+    `payload(result, params)` is what `construct` prints.  The corpus
+    compares `divisor(result, f)`, unless None, with the entry's f and names
+    a mismatch by `label` (and `variables`).  A check without a subcommand
+    has `run(f, **params)` instead, which gives the entry's outcome.
+
+    Builders look library functions up by name when they run, so a caller
+    that rebinds them in this module's namespace is seen."""
+
+    def __init__(self, family=None, check=None, help=None, params=(), build=None,
+                 payload=None, divisor=None, label=None, variables=None, run=None):
+        self.family, self.check, self.help, self.params = family, check, help, params
+        self.build, self.payload, self.run = build, payload, run
+        self.divisor, self.label, self.variables = divisor, label, variables
 
 
-def _cmd_construct_tangent(args) -> int:
-    f, w, matrix = _seed(args)
-    hb = _hilbert_burch(f, w, matrix)
-    fresh = _split_names(args.fresh) if args.fresh else None
-    cert = tangent_extend(f, hb, w, fresh)
-    payload = certificate_to_json(cert)
-    payload["family"] = "tangent"
-    _emit(payload)
-    return EXIT_OK
-
-
-def _cmd_construct_jets(args) -> int:
-    f, w, matrix = _seed(args)
-    hb = _hilbert_burch(f, w, matrix)
-    fresh = None
-    if args.fresh:
-        fresh = [list(_split_names(group)) for group in args.fresh.split(";")]
-    cert = multi_jet_extend(f, hb, w, args.m, fresh)
-    payload = certificate_to_json(cert)
-    payload["family"] = "jets"
-    payload["levels"] = args.m
-    _emit(payload)
-    return EXIT_OK
-
-
-def _cmd_construct_iterate(args) -> int:
-    f, w, matrix = _seed(args)
-    certs = iterate_tangent(f, w, args.steps, matrix)
-    final = certs[-1]
-    payload = certificate_to_json(final)
-    payload["family"] = "iterate"
-    payload["steps"] = [certificate_to_json(c) for c in certs]
-    _emit(payload)
-    return EXIT_OK
-
-
-def _cmd_construct_cone(args) -> int:
-    verdict = cone_family(
-        args.k,
-        _ints(args.gammas, "--gammas"),
-        args.a,
-        args.b,
-        args.c,
-        _fractions(args.alphas, "--alphas"),
-    )
-    payload = _verdict_payload(verdict)
-    payload["family"] = "cone"
-    _emit(payload)
-    return EXIT_OK
+_ROWS = (
+    _Row("binomial", help="monomial-times-binomial divisor", params=(
+        _Param("n", _INT, "number of x-variables", required=True),
+        _Param("a", _INTS, "comma-separated x-exponents of the first term"),
+        _Param("b", _INTS, "comma-separated x-exponents of the second term"),
+        _Param("alpha", _INT, "y-exponent of the first term", required=True),
+        _Param("beta", _INT, "z-exponent of the second term", required=True),
+        _Param("u", _INT, "y-exponent of the second term", required=True),
+        _Param("t", _INT, "z-exponent of the first term", required=True),
+        _Param("x_names", _NAMES),
+        _Param("y_name", _STRING),
+        _Param("z_name", _STRING),
+    ), build=_binomial, payload=lambda cert, p: certificate_to_json(cert)),
+    _Row("brieskorn", "brieskorn", "chain of two-variable binomials", params=(
+        _Param("t", _INTS, "comma-separated exponents t1,t2,...", required=True),
+        _Param("names", _NAMES, "comma-separated variable names", field="vars"),
+        _Param("matrix", _MATRIX, field="matrix", option=False),
+    ), build=_brieskorn, payload=lambda fd, p: _framed_payload(fd),
+        divisor=lambda fd, f: fd.product, label="the chain construction"),
+    _Row("triangular", help="two-variable seed extended one variable at a time", params=(
+        _Param("t", _INTS, "seed exponents t1,t2", required=True),
+        _Param("names", _NAMES, "seed variable names (default x1,x2)"),
+        _Param("step", _STEPS, "extension step 'a,b,alpha,beta,new_var'; repeatable"),
+    ), build=_triangular, payload=lambda fd, p: _framed_payload(fd)),
+    _Row("compose", help="substitute factors into an outer divisor", params=(
+        _Param("factors", _STRING, "semicolon-separated substituents", required=True),
+        _Param("matrix", _MATRIX, "strict frame for the substituents (JSON or @file)"),
+        _Param("vars", _STRING),
+        _Param("outer_factors", _STRING, "semicolon-separated outer factors", required=True),
+        _Param("outer_matrix", _MATRIX, "outer Saito matrix", required=True),
+        _Param("outer_vars", _STRING),
+    ), build=_compose, payload=lambda fd, p: _framed_payload(fd)),
+    _Row("sum-compose", "sum_compose", "f*g*(f+g) on disjoint variables", params=(
+        _Seed("f", True, "weights making f homogeneous", _SAITO_HELP),
+        _Seed("g", True),
+    ), build=lambda f, g: sum_compose(f.framed(), g.framed()),
+        payload=lambda fd, p: _framed_payload(fd),
+        divisor=lambda fd, f: fd.product.reordered(f.ctx.names), label="the sum composition"),
+    _Row("tangent", help="f times its first polar form", params=(
+        _Seed(matrix_help=_SAITO_HELP),
+        _Param("fresh", _NAMES, "comma-separated fresh variable names"),
+    ), build=lambda f, fresh: tangent_extend(f.divisor, f.hilbert_burch(), f.weights, fresh),
+        payload=lambda cert, p: certificate_to_json(cert)),
+    _Row("jets", "jets", "f times its first m polar forms", params=(
+        _Seed(),
+        _Param("m", _INT, "number of jet levels", required=True),
+        _Param("fresh", _NAME_GROUPS, "semicolon-separated groups of comma-separated names"),
+    ), build=lambda f, m, fresh: multi_jet_extend(f.divisor, f.hilbert_burch(), f.weights, m, fresh),
+        payload=lambda cert, p: dict(certificate_to_json(cert), levels=p["m"]),
+        divisor=lambda cert, f: cert.divisor, label="the jet construction", variables="jet"),
+    _Row("iterate", "iterate", "iterated tangent extension", params=(
+        _Seed(),
+        _Param("steps", _INT, required=True),
+    ), build=lambda f, steps: iterate_tangent(f.divisor, f.weights, steps, f.matrix),
+        payload=lambda certs, p: dict(
+            certificate_to_json(certs[-1]), steps=[certificate_to_json(c) for c in certs]
+        ),
+        divisor=lambda certs, f: certs[-1].divisor, label="the iterated construction",
+        variables="iterated"),
+    _Row("cone", "cone", "products of cones through coordinate axes", params=(
+        _Param("k", _INT, "number of cone factors", required=True),
+        _Param("gammas", _INTS, "axis exponents g1,g2,g3 in {0,1}", required=True),
+        _Param("a", _INT, required=True),
+        _Param("b", _INT, required=True),
+        _Param("c", _INT, required=True),
+        _Param("alphas", _RATIONALS, "comma-separated distinct scalars", required=True),
+    ), build=lambda **p: cone_family(**p), payload=lambda verdict, p: _verdict_payload(verdict),
+        divisor=lambda verdict, f: verdict.certificate and verdict.certificate.divisor,
+        label="the cone construction"),
+    _Row(check="verify", params=(_Param("matrix", _MATRIX, required=True, field="matrix"),),
+         run=lambda f, matrix: _certified(verify_saito(f, _parse_matrix(matrix, f.ctx)).divisor)),
+    _Row(check="binomial", run=lambda f: _verdict_outcome(is_free_binomial(f), f)),
+    _Row(check="euler3", params=(_Param("field", _RATIONALS, required=True, field="field"),),
+         run=lambda f, field: _verdict_outcome(euler3_divisor(f, field), f)),
+    _Row(check="obstruct", params=(_Param("linear_forms", _NAMES), _Param("assert_smooth", _FLAG)),
+         run=_obstruct_entry),
+    _Row(check="xifi_free", run=lambda f: _certified(free_multiple_via_xifi(f).divisor)),
+    _Row(check="substitution_reduced", params=(
+        _Param("factors", _NAMES, required=True),
+        _Param("outer_vars", _NAMES, required=True, field="params.outer.vars"),
+        _Param("outer_f", _STRING, required=True, field="params.outer.f"),
+        _Param("outer_factors", _NAMES, required=True, field="params.outer.factors"),
+        _Param("witness", _STRING, required=True),
+    ), run=_substitution_entry),
+)
+_FAMILIES = {row.family: row for row in _ROWS if row.family}
+_CHECKS = {row.check: row for row in _ROWS if row.check}
 
 
 # ---------------------------------------------------------------------------
@@ -486,58 +646,8 @@ class _EntryOutcome:
         self.detail = detail
 
 
-def _entry_matrix(entry: dict, ctx: Context, key: str = "matrix") -> PolyMatrix:
-    data = entry.get(key)
-    if data is None:
-        raise PreconditionError(f"entry {entry['id']!r} needs a {key!r} field")
-    return _parse_matrix(_matrix_entries(data), ctx)
-
-
-def _optional_matrix(obj: dict, ctx: Context) -> PolyMatrix | None:
-    data = obj.get("matrix")
-    return _parse_matrix(_matrix_entries(data), ctx) if data else None
-
-
-def _of_type(kind: type):
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(value)
-        return value
-
-    return check
-
-
-def _list_of(convert):
-    def check(value):
-        return [convert(x) for x in _of_type(list)(value)]
-
-    return check
-
-
-# (converter, description) of the per-check field types of a corpus entry
-_OBJECT = (_of_type(dict), "an object")
-_STRING = (_of_type(str), "a string")
-_STRINGS = (_list_of(_of_type(str)), "a list of strings")
-_INTEGERS = (_list_of(_of_type(int)), "a list of integers")
-_RATIONALS = (_list_of(Fraction), "a list of rationals")
-
-
-def _field(obj: dict, key: str, kind):
-    """obj[key] through the kind's converter.  A value of the wrong type
-    raises PreconditionError naming the field, so it becomes the entry's
-    error row instead of ending the run."""
-    convert, what = kind
-    value = obj[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise PreconditionError(f"field {key!r} must be {what}, got {value!r}") from None
-
-
-def _divisor(obj: dict) -> Poly:
-    """The 'f' of a nested corpus object over its own 'vars'."""
-    ctx = Context(tuple(_field(obj, "vars", _STRINGS)))
-    return parse_poly(_field(obj, "f", _STRING), ctx)
+def _certified(divisor: Poly) -> _EntryOutcome:
+    return _EntryOutcome("free", certified=[poly_to_str(divisor)])
 
 
 def _verdict_outcome(verdict: FamilyVerdict, f: Poly) -> _EntryOutcome:
@@ -571,123 +681,20 @@ def _check_divisor_matches(
 
 def _run_entry_checked(entry: dict) -> _EntryOutcome:
     check = entry.get("check", "verify")
-    ctx = Context(tuple(entry["vars"]))
-    f = parse_poly(entry["f"], ctx)
-    fstr = poly_to_str(f)
-
-    if check == "verify":
-        cert = verify_saito(f, _entry_matrix(entry, ctx))
-        return _EntryOutcome("free", certified=[fstr])
-
-    if check == "binomial":
-        return _verdict_outcome(is_free_binomial(f), f)
-
-    if check == "euler3":
-        field = tuple(_field(entry, "field", _RATIONALS))
-        return _verdict_outcome(euler3_divisor(f, field), f)
-
-    if check == "cone":
-        p = _field(entry, "params", _OBJECT)
-        verdict = cone_family(
-            p["k"],
-            _field(p, "gammas", _INTEGERS),
-            p["a"],
-            p["b"],
-            p["c"],
-            _field(p, "alphas", _RATIONALS),
-        )
-        if verdict.certificate is not None:
-            _check_divisor_matches(verdict.certificate.divisor, f, "the cone construction")
-        return _verdict_outcome(verdict, f)
-
-    if check == "brieskorn":
-        t = _field(_field(entry, "params", _OBJECT), "t", _INTEGERS)
-        fd = brieskorn_chain(*t, names=tuple(entry["vars"]))
-        _check_divisor_matches(fd.product, f, "the chain construction")
-        if entry.get("matrix") is not None and fd.matrix != _entry_matrix(entry, ctx):
-            raise VerificationError(
-                "corpus_golden", "the chain's matrix differs from the frozen one"
-            )
-        return _EntryOutcome("free", certified=[fstr])
-
-    if check == "sum_compose":
-        p = _field(entry, "params", _OBJECT)
-        sides = []
-        for side in (_field(p, "f", _OBJECT), _field(p, "g", _OBJECT)):
-            sf = _divisor(side)
-            sm = _given_or_normal_crossing(
-                sf, _optional_matrix(side, sf.ctx), "side divisor needs an explicit matrix"
-            )
-            sides.append(frame_divisor([sf], sm, weight=_field(side, "weights", _RATIONALS)))
-        fd = sum_compose(sides[0], sides[1])
-        _check_divisor_matches(fd.product.reordered(ctx.names), f, "the sum composition")
-        return _EntryOutcome("free", certified=[fstr])
-
-    if check == "substitution_reduced":
-        p = _field(entry, "params", _OBJECT)
-        factors = [parse_poly(t, ctx) for t in _field(p, "factors", _STRINGS)]
-        outer = _field(p, "outer", _OBJECT)
-        outer_f = _divisor(outer)
-        overdict = is_free_binomial(outer_f)
-        if not overdict.is_free:
-            raise PreconditionError("the outer divisor of this entry must be free")
-        outer_fd = frame_divisor(
-            [parse_poly(t, outer_f.ctx) for t in _field(outer, "factors", _STRINGS)],
-            overdict.certificate.matrix,
-        )
-        try:
-            compose_factors(factors, outer_fd, frame=None)
-        except CommonFactorError as err:
-            witness = parse_poly(_field(p, "witness", _STRING), ctx)
-            if err.witness != witness:
-                raise VerificationError(
-                    "corpus_golden",
-                    f"unexpected gcd witness {poly_to_str(err.witness)}",
-                )
-            _check_divisor_matches(err.substituted, f, "the substituted product")
-            return _EntryOutcome(
-                "not_free",
-                refuted=[fstr],
-                detail="non-reduced substitution detected",
-            )
-        raise VerificationError(
-            "corpus_golden", "expected a common-factor rejection, none was raised"
-        )
-
-    if check == "obstruct":
-        p = _field(entry, "params", _OBJECT) if "params" in entry else {}
-        form_texts = (
-            _field(p, "linear_forms", _STRINGS) if p.get("linear_forms") else list(ctx.names)
-        )
-        ells = [parse_poly(t, ctx) for t in form_texts]
-        report = smooth_times_nc_verdict(
-            f, ells, smooth_asserted=p.get("assert_smooth", True)
-        )
-        actual = _CONCLUSION_MAP[report.conclusion]
-        refuted = [poly_to_str(report.candidate)] if actual == "not_free" else []
-        return _EntryOutcome(actual, refuted=refuted, detail=report.conclusion)
-
-    if check == "xifi_free":
-        cert = free_multiple_via_xifi(f)
-        return _EntryOutcome("free", certified=[poly_to_str(cert.divisor)])
-
-    if check == "jets":
-        p = _field(entry, "params", _OBJECT)
-        seed = _divisor(p)
-        w = _field(p, "weights", _RATIONALS)
-        hb = _hilbert_burch(seed, w, _optional_matrix(p, seed.ctx))
-        cert = multi_jet_extend(seed, hb, w, p["m"])
-        _check_divisor_matches(cert.divisor, f, "the jet construction", "jet")
-        return _EntryOutcome("free", certified=[fstr])
-
-    if check == "iterate":
-        p = _field(entry, "params", _OBJECT)
-        seed = _divisor(p)
-        certs = iterate_tangent(seed, _field(p, "weights", _RATIONALS), p["steps"])
-        _check_divisor_matches(certs[-1].divisor, f, "the iterated construction", "iterated")
-        return _EntryOutcome("free", certified=[fstr])
-
-    raise PreconditionError(f"entry {entry['id']!r} has unknown check {check!r}")
+    f = parse_poly(entry["f"], Context(tuple(entry["vars"])))
+    row = _CHECKS.get(check) if isinstance(check, str) else None
+    if row is None:
+        raise PreconditionError(f"entry {entry['id']!r} has unknown check {check!r}")
+    params = {param.name: param.from_entry(entry) for param in row.params}
+    if row.run is not None:
+        return row.run(f, **params)
+    result = row.build(**params)
+    divisor = row.divisor(result, f)
+    if divisor is not None:
+        _check_divisor_matches(divisor, f, row.label, row.variables)
+    if isinstance(result, FamilyVerdict):
+        return _verdict_outcome(result, f)
+    return _certified(f)
 
 
 def _run_entry(entry: dict) -> dict:
@@ -839,92 +846,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     con = sub.add_parser("construct", help="build a divisor from a family")
     consub = con.add_subparsers(dest="family", required=True)
-
-    p = consub.add_parser("binomial", help="monomial-times-binomial divisor")
-    p.add_argument("--n", type=int, required=True, help="number of x-variables")
-    p.add_argument("--a", help="comma-separated x-exponents of the first term")
-    p.add_argument("--b", help="comma-separated x-exponents of the second term")
-    p.add_argument("--alpha", type=int, required=True, help="y-exponent of the first term")
-    p.add_argument("--beta", type=int, required=True, help="z-exponent of the second term")
-    p.add_argument("--u", type=int, required=True, help="y-exponent of the second term")
-    p.add_argument("--t", type=int, required=True, help="z-exponent of the first term")
-    p.add_argument("--x-names")
-    p.add_argument("--y-name")
-    p.add_argument("--z-name")
-    p.set_defaults(func=_cmd_construct_binomial)
-
-    p = consub.add_parser("brieskorn", help="chain of two-variable binomials")
-    p.add_argument("--t", required=True, help="comma-separated exponents t1,t2,...")
-    p.add_argument("--names", help="comma-separated variable names")
-    p.set_defaults(func=_cmd_construct_brieskorn)
-
-    p = consub.add_parser(
-        "triangular", help="two-variable seed extended one variable at a time"
-    )
-    p.add_argument("--t", required=True, help="seed exponents t1,t2")
-    p.add_argument("--names", help="seed variable names (default x1,x2)")
-    p.add_argument(
-        "--step",
-        action="append",
-        help="extension step 'a,b,alpha,beta,new_var'; repeatable",
-    )
-    p.set_defaults(func=_cmd_construct_triangular)
-
-    p = consub.add_parser("compose", help="substitute factors into an outer divisor")
-    p.add_argument("--factors", required=True, help="semicolon-separated substituents")
-    p.add_argument("--matrix", help="strict frame for the substituents (JSON or @file)")
-    p.add_argument("--vars")
-    p.add_argument(
-        "--outer-factors", required=True, help="semicolon-separated outer factors"
-    )
-    p.add_argument("--outer-matrix", required=True, help="outer Saito matrix")
-    p.add_argument("--outer-vars")
-    p.set_defaults(func=_cmd_construct_compose)
-
-    p = consub.add_parser("sum-compose", help="f*g*(f+g) on disjoint variables")
-    p.add_argument("--f", required=True)
-    p.add_argument("--vars")
-    p.add_argument("--weights", required=True, help="weights making f homogeneous")
-    p.add_argument("--matrix", help="Saito matrix for f (default: normal crossing)")
-    p.add_argument("--g", required=True)
-    p.add_argument("--g-vars")
-    p.add_argument("--g-weights", required=True)
-    p.add_argument("--g-matrix")
-    p.set_defaults(func=_cmd_construct_sum_compose)
-
-    p = consub.add_parser("tangent", help="f times its first polar form")
-    p.add_argument("--f", required=True)
-    p.add_argument("--vars")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--matrix", help="Saito matrix for f (default: normal crossing)")
-    p.add_argument("--fresh", help="comma-separated fresh variable names")
-    p.set_defaults(func=_cmd_construct_tangent)
-
-    p = consub.add_parser("jets", help="f times its first m polar forms")
-    p.add_argument("--f", required=True)
-    p.add_argument("--vars")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--m", type=int, required=True, help="number of jet levels")
-    p.add_argument("--matrix")
-    p.add_argument("--fresh", help="semicolon-separated groups of comma-separated names")
-    p.set_defaults(func=_cmd_construct_jets)
-
-    p = consub.add_parser("iterate", help="iterated tangent extension")
-    p.add_argument("--f", required=True)
-    p.add_argument("--vars")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--matrix")
-    p.set_defaults(func=_cmd_construct_iterate)
-
-    p = consub.add_parser("cone", help="products of cones through coordinate axes")
-    p.add_argument("--k", type=int, required=True, help="number of cone factors")
-    p.add_argument("--gammas", required=True, help="axis exponents g1,g2,g3 in {0,1}")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--alphas", required=True, help="comma-separated distinct scalars")
-    p.set_defaults(func=_cmd_construct_cone)
+    for row in _FAMILIES.values():
+        p = consub.add_parser(row.family, help=row.help)
+        for param in row.params:
+            for flag, kind, required, help in param.options():
+                p.add_argument(flag, required=required, help=help, **kind.option)
+        p.set_defaults(func=_cmd_construct)
 
     cor = sub.add_parser("corpus", help="run the bundled example corpus")
     corsub = cor.add_subparsers(dest="corpus_command", required=True)

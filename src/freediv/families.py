@@ -82,7 +82,13 @@ __all__ = [
     "tangent_extend",
     "iterate_tangent",
     "normal_crossing_matrix",
+    "given_or_normal_crossing",
 ]
+
+
+def _is_integer(v) -> bool:
+    """An int that is not a bool: True would be read as the exponent 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +149,13 @@ class BinomialSpec:
     z_name: str = "z"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if not _is_integer(self.n) or self.n < 0:
             raise PreconditionError(f"n must be a non-negative integer, got {self.n!r}")
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
+        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "b", tuple(self.b))
+        for v in self.a + self.b + (self.u, self.t):
+            if not _is_integer(v):
+                raise PreconditionError(f"exponents must be integers, got {v!r}")
         if len(self.a) != self.n or len(self.b) != self.n:
             raise PreconditionError("exponent vectors a, b must have length n")
         if any(v < 0 for v in self.a + self.b):
@@ -157,9 +166,9 @@ class BinomialSpec:
                     f"a and b must be componentwise coprime; position {i} has "
                     f"min({ai}, {bi}) != 0"
                 )
-        if not (isinstance(self.alpha, int) and self.alpha >= 1):
+        if not (_is_integer(self.alpha) and self.alpha >= 1):
             raise PreconditionError(f"alpha must be a positive integer, got {self.alpha!r}")
-        if not (isinstance(self.beta, int) and self.beta >= 1):
+        if not (_is_integer(self.beta) and self.beta >= 1):
             raise PreconditionError(f"beta must be a positive integer, got {self.beta!r}")
         if self.u not in (0, 1) or self.t not in (0, 1):
             raise PreconditionError("u and t must lie in {0, 1}")
@@ -550,13 +559,13 @@ def cone_family(
     The single smooth instance class (k = 1, a = 1, g = (0, 0, 0)) is
     rejected: the refutation branch presumes a singular divisor.
     """
-    if not isinstance(k, int) or k < 1:
+    if not _is_integer(k) or k < 1:
         raise PreconditionError(f"k must be a positive integer, got {k!r}")
-    gammas = tuple(int(g) for g in gammas)
-    if len(gammas) != 3 or any(g not in (0, 1) for g in gammas):
+    gammas = tuple(gammas)
+    if len(gammas) != 3 or any(not _is_integer(g) or g not in (0, 1) for g in gammas):
         raise PreconditionError("gammas must be three exponents in {0, 1}")
     for nm, v in (("a", a), ("b", b), ("c", c)):
-        if not isinstance(v, int) or v < 1:
+        if not _is_integer(v) or v < 1:
             raise PreconditionError(f"{nm} must be a positive integer, got {v!r}")
     alphas = tuple(Fraction(x) for x in alphas)
     if len(alphas) != k:
@@ -932,6 +941,16 @@ def normal_crossing_matrix(f: Poly) -> PolyMatrix | None:
     return PolyMatrix.diagonal(entries)
 
 
+def given_or_normal_crossing(f: Poly, matrix: PolyMatrix | None, message: str) -> PolyMatrix:
+    """The given matrix, else the normal-crossing matrix of a scaled
+    squarefree monomial f, else PreconditionError(message)."""
+    if matrix is None:
+        matrix = normal_crossing_matrix(f)
+        if matrix is None:
+            raise PreconditionError(message)
+    return matrix
+
+
 def multi_jet_extend(
     f: Poly,
     hb: HilbertBurch,
@@ -1043,12 +1062,9 @@ def iterate_tangent(
     """
     if not isinstance(steps, int) or steps < 0:
         raise PreconditionError(f"steps must be a non-negative integer, got {steps!r}")
-    if matrix is None:
-        matrix = normal_crossing_matrix(f0)
-        if matrix is None:
-            raise PreconditionError(
-                "f0 is not a scaled squarefree monomial; supply a verified matrix"
-            )
+    matrix = given_or_normal_crossing(
+        f0, matrix, "f0 is not a scaled squarefree monomial; supply a verified matrix"
+    )
     w = tuple(Fraction(x) for x in w0)
     cert = verify_saito(f0, matrix)
     certificates = [cert]

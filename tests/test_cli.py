@@ -5,12 +5,15 @@ the warnings on stderr, and the exit code.  One test runs the console
 module in a subprocess to cover the packaging path.
 """
 
+import io
 import json
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freediv import cli
 from freediv.cli import (
@@ -277,6 +280,18 @@ class TestConstruct:
         )
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("options, message", [
+        (["--t", "2,3,4"], "--t wants the two exponents 't1,t2', got '2,3,4'"),
+        (["--t", "2"], "--t wants the two exponents 't1,t2', got '2'"),
+        (["--t", "2,3", "--step", "5,1,1/0,1,z"],
+         "cannot parse --step '5,1,1/0,1,z': Fraction(1, 0)"),
+    ])
+    def test_triangular_malformed_option_is_one_line_exit_2(self, capsys, options, message):
+        code, out, err = run_cli(capsys, "construct", "triangular", *options)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error (parse): {message}\n"
+
     def test_compose_two_lines_into_sum_frame(self, capsys):
         code, payload, _ = run_cli(
             capsys,
@@ -522,6 +537,21 @@ class TestCorpus:
                                       "c": 1, "alphas": ["1"]}},
          "field 'gammas' must be a list of integers, got [0, 1, 'q']"),
         ({"check": "obstruct", "params": None}, "field 'params' must be an object, got None"),
+        ({"check": "obstruct", "vars": ["x", "y", "z"], "f": "x^3+y^3+z^3",
+          "params": {"assert_smooth": "no"}},
+         "field 'assert_smooth' must be a boolean, got 'no'"),
+        ({"check": "cone", "params": {"k": 1, "gammas": [0, 1, 1], "a": True, "b": 1,
+                                      "c": 1, "alphas": ["1"]}},
+         "field 'a' must be an integer, got True"),
+        ({"check": "jets", "params": {"vars": ["x0"], "f": "x0", "weights": ["1"], "m": True}},
+         "field 'm' must be an integer, got True"),
+        ({"check": "iterate", "params": {"vars": ["x"], "f": "x", "weights": ["1"],
+                                         "steps": False}},
+         "field 'steps' must be an integer, got False"),
+        ({"check": "brieskorn", "params": {"t": [2, True]}},
+         "field 't' must be a list of integers, got [2, True]"),
+        ({"check": "euler3", "field": [0.1, 1, 1]},
+         "field 'field' must be a list of rationals, got [0.1, 1, 1]"),
     ])
     def test_check_field_of_wrong_type_is_an_error_row(
         self, capsys, tmp_path, entry, message
@@ -530,6 +560,16 @@ class TestCorpus:
         code, out, _ = self.run_corpus(capsys, tmp_path, [entry])
         assert code == EXIT_VERIFICATION
         assert out.splitlines()[0] == f"a: FAIL expect=free actual=error: {message}"
+
+    def test_iterate_entry_takes_a_matrix(self, capsys, tmp_path):
+        entry = {"id": "a", "vars": ["x", "y", "z1", "z2"],
+                 "f": "2*x^3*z1 + 2*x*y^2*z1 + 2*x^2*y*z2 + 2*y^3*z2", "expect": "free",
+                 "check": "iterate",
+                 "params": {"vars": ["x", "y"], "f": "x^2+y^2", "weights": ["1", "1"],
+                            "steps": 1, "matrix": [["x", "-y"], ["y", "x"]]}}
+        code, out, _ = self.run_corpus(capsys, tmp_path, [entry])
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "a: PASS expect=free actual=free"
 
     @pytest.mark.parametrize("entries, message", [
         ([5], "corpus entry 0 is not an object"),
@@ -586,6 +626,62 @@ def test_golden_paths_are_byte_identical(capsys, case):
     # the Euler-frame syzygy fallback, given and missing matrices, matrix
     # decoding failures and precondition failures of the constructions
     _assert_golden(capsys, case)
+
+
+_JUNK = st.sampled_from(["", ",", "x", "1/0", "-1", "1,,2", "@/nonexistent.json", "[[", "[]"])
+
+
+def _joined(elements, sep=","):
+    return st.lists(elements, min_size=1, max_size=3).map(sep.join)
+
+
+# small well-formed option text for each parameter kind of the family table
+_OPTION_TEXT = {
+    cli._INT: st.integers(-1, 2).map(str),
+    cli._INTS: _joined(st.integers(-1, 3).map(str)),
+    cli._RATIONALS: _joined(st.sampled_from(["1", "2", "1/2", "-1", "0"])),
+    cli._NAMES: _joined(st.sampled_from(["x", "y", "z", "x1", "y1", "w"])),
+    cli._NAME_GROUPS: _joined(_joined(st.sampled_from(["a", "b", "w"])), ";"),
+    cli._STRING: st.sampled_from(
+        ["x", "y", "x*y", "x+y", "x^2+y^3", "x*y*z", "x^2*y - y^2*z", "x;y", "x;x*(x+y)",
+         "y1;y2;y1+y2"]
+    ),
+    cli._MATRIX: st.sampled_from([
+        DIAG2, '[["x","-y"],["y","x"]]', '[["y1","y1^2"],["y2","-y2^2"]]', '[[1]]',
+        '{"entries": [["x"]]}',
+    ]),
+    cli._STEPS: st.tuples(
+        st.integers(0, 3), st.integers(1, 2), st.sampled_from(["1", "-1", "1/2", "0", "1/0"]),
+        st.sampled_from(["1", "2"]), st.sampled_from(["z", "w", "x"]),
+    ).map(lambda step: ",".join(map(str, step))),
+}
+
+
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_construct_fuzz_ends_in_a_documented_exit(family, data):
+    # every option of every row, small values and malformed tokens: each run
+    # ends in a documented exit code and, on failure, one error line on
+    # stderr (a non-reduced substitution adds its witness and term count)
+    argv = ["construct", family]
+    for param in cli._FAMILIES[family].params:
+        for flag, kind, required, _ in param.options():
+            if required or data.draw(st.booleans()):
+                argv += [flag, data.draw(st.one_of(_OPTION_TEXT[kind], _JUNK))]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            assert exc.code == 2
+            return
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERIFICATION, EXIT_INTERNAL)
+    if code != EXIT_OK:
+        assert "Traceback" not in err.getvalue()
+        lines = [l for l in err.getvalue().splitlines()
+                 if not l.startswith(("warning: ", "gcd witness: ", "substituted polynomial has "))]
+        assert len(lines) == 1, (argv, err.getvalue())
 
 
 class TestArgparseBehavior:

@@ -109,6 +109,13 @@ class TestBinomialSpec:
         with pytest.raises(PreconditionError):
             BinomialSpec(n=2, a=(1,), b=(0, 0), alpha=1, beta=1, u=0, t=0)
 
+    def test_rejects_non_integer_exponent(self):
+        # int(1.7) would build x1^2*y + x1*z
+        with pytest.raises(PreconditionError, match="exponents must be integers, got 1.7"):
+            BinomialSpec(n=1, a=(1.7,), b=(0,), alpha=1, beta=1, u=0, t=1)
+        with pytest.raises(PreconditionError, match="got True"):
+            BinomialSpec(n=1, a=(1,), b=(0,), alpha=1, beta=1, u=True, t=0)
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(PreconditionError):
             BinomialSpec(
@@ -421,6 +428,13 @@ class TestConeFamily:
     def test_rejects_bad_gamma(self):
         with pytest.raises(PreconditionError):
             cone_family(1, (0, 2, 0), 2, 1, 1, (1,))
+
+    def test_rejects_non_integer_exponent(self):
+        # int(0.9) would certify the divisor with g1 = 0
+        with pytest.raises(PreconditionError, match="gammas must be three exponents"):
+            cone_family(2, (0.9, 1, 1), 2, 1, 1, [1, 2])
+        with pytest.raises(PreconditionError, match="a must be a positive integer, got True"):
+            cone_family(2, (0, 1, 1), True, 1, 1, [1, 2])
 
     def test_closed_form_grid(self):
         rng = make_rng(62)
