@@ -563,7 +563,8 @@ _ROWS = (
         _Seed("g", True),
     ), build=lambda f, g: sum_compose(f.framed(), g.framed()),
         payload=lambda fd, p: _framed_payload(fd),
-        divisor=lambda fd, f: fd.product.reordered(f.ctx.names), label="the sum composition"),
+        divisor=lambda fd, f: _in_entry_order(fd.product, f, "sum composition"),
+        label="the sum composition"),
     _Row("tangent", help="f times its first polar form", params=(
         _Seed(matrix_help=_SAITO_HELP),
         _Param("fresh", _NAMES, "comma-separated fresh variable names"),
@@ -677,6 +678,17 @@ def _check_divisor_matches(
             f"{what} does not reproduce the entry's divisor: "
             f"got {poly_to_str(constructed)}",
         )
+
+
+def _in_entry_order(constructed: Poly, expected: Poly, variables: str) -> Poly:
+    """The construction with its variables in the entry's order; raise
+    unless they are a permutation of the entry's."""
+    if sorted(constructed.ctx.names) != sorted(expected.ctx.names):
+        raise VerificationError(
+            "corpus_golden",
+            f"{variables} variables {constructed.ctx.names} differ from the entry's",
+        )
+    return constructed.reordered(expected.ctx.names)
 
 
 def _run_entry_checked(entry: dict) -> _EntryOutcome:

@@ -612,9 +612,9 @@ class TriangularStep:
     new_var: str
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or self.a < 1:
+        if not _is_integer(self.a) or self.a < 1:
             raise PreconditionError(f"a must be a positive integer, got {self.a!r}")
-        if not isinstance(self.b, int) or self.b < 1:
+        if not _is_integer(self.b) or self.b < 1:
             raise PreconditionError(f"b must be a positive integer, got {self.b!r}")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
@@ -659,7 +659,7 @@ def triangular_extend(fd: FramedDivisor, step: TriangularStep) -> FramedDivisor:
 def brieskorn_seed(t1: int, t2: int, names: Sequence[str] = ("x1", "x2")) -> FramedDivisor:
     """Framed plane curve x1^t1 + x2^t2 with its weighted-Euler/rotation matrix."""
     for v in (t1, t2):
-        if not isinstance(v, int) or v < 1:
+        if not _is_integer(v) or v < 1:
             raise PreconditionError(f"exponents must be positive integers, got {v!r}")
     names = tuple(names)
     if len(names) != 2:
@@ -970,7 +970,7 @@ def multi_jet_extend(
     """
     ctx = f.ctx
     n = ctx.nvars
-    if not isinstance(m, int) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise PreconditionError(f"m must be a positive integer, got {m!r}")
     if hb.divisor != f:
         raise PreconditionError("the Hilbert-Burch data describes a different divisor")
@@ -1060,7 +1060,7 @@ def iterate_tangent(
     variables, has 2^i times the seed's weighted degree, and is a product of
     i + 1 tracked factors; all three invariants are asserted.
     """
-    if not isinstance(steps, int) or steps < 0:
+    if not _is_integer(steps) or steps < 0:
         raise PreconditionError(f"steps must be a non-negative integer, got {steps!r}")
     matrix = given_or_normal_crossing(
         f0, matrix, "f0 is not a scaled squarefree monomial; supply a verified matrix"

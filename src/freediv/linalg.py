@@ -5,6 +5,16 @@ support exponents, degree-matched ideal membership, bounded-degree syzygies,
 and the Koszul homotopy that trivializes 1-cycles against a weighted Euler
 derivation.  Polynomial identities become one rational system, a row per
 (coordinate, exponent), built by _coefficient_system for every solve.
+
+`rref` eliminates on sparse rows (a dict from column to nonzero entry), since
+these systems are mostly zeros: the largest from the x_i * df/dx_i syzygy
+searches are 65x43 at 7.5% nonzero.  The reduced row echelon form of a
+matrix is unique, so neither the pivot rows an elimination picks nor the
+order it clears them in can change the result: it is the dense Gauss-Jordan
+output, entry for entry.  Each system is reduced once: `_solve` reduces the
+augmented [A | b] and reads both the solution with free variables set to
+zero and the kernel basis of A from it, because the pivots of [A | b] left
+of its last column are exactly those of A.
 """
 from __future__ import annotations
 
@@ -31,29 +41,71 @@ Vec = list[Fraction]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form and pivot column indices (columns scanned left to right)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Reduced row echelon form and pivot column indices (columns scanned left to right).
+
+    The elimination runs on sparse rows (column -> nonzero entry): a forward
+    pass that takes, for each column, the shortest remaining row holding it as
+    the pivot row, then back substitution from the last pivot up.  The
+    result is returned dense: the pivot rows in pivot order, then the zero rows.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pending: list[dict[int, Fraction]] = []
+    for r in rows:
+        row = {}
+        for c, x in enumerate(r):
+            x = x if type(x) is Fraction else Fraction(x)
+            if x:
+                row[c] = x
+        if row:
+            pending.append(row)
+    echelon: list[dict[int, Fraction]] = []
     pivots: list[int] = []
-    if not m:
-        return m, pivots
-    ncols = len(m[0])
-    r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        if not pending:
             break
-    return m, pivots
+        best = -1
+        for i, row in enumerate(pending):
+            if c in row and (best < 0 or len(row) < len(pending[best])):
+                best = i
+        if best < 0:
+            continue
+        pivot = pending.pop(best)
+        inv = 1 / pivot.pop(c)
+        rest = [(k, v * inv) for k, v in pivot.items()]
+        for row in pending:
+            _eliminate(row, c, rest)
+        echelon.append(dict(rest))
+        pivots.append(c)
+    for i in range(len(echelon) - 1, 0, -1):
+        c, rest = pivots[i], list(echelon[i].items())
+        for row in echelon[:i]:
+            _eliminate(row, c, rest)
+    zero = Fraction(0)
+    out: list[Vec] = []
+    for c, row in zip(pivots, echelon):
+        dense = [zero] * ncols
+        dense[c] = Fraction(1)
+        for k, v in row.items():
+            dense[k] = v
+        out.append(dense)
+    out.extend([zero] * ncols for _ in range(len(rows) - len(out)))
+    return out, pivots
+
+
+def _eliminate(row: dict[int, Fraction], c: int, rest: list[tuple[int, Fraction]]) -> None:
+    """Subtract row[c] times the normalized pivot row (1 at column c, rest elsewhere)."""
+    f = row.pop(c, None)
+    if f is None:
+        return
+    for k, v in rest:
+        if k in row:
+            x = row[k] - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+        else:
+            row[k] = -f * v
 
 
 def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -94,6 +146,34 @@ def _normalize_integer_vector(v: Vec) -> Vec:
     return [Fraction(x) for x in ints]
 
 
+def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: int,
+           kernel: bool = True) -> tuple[Vec | None, list[Vec]]:
+    """One solution of A x = b (free variables set to zero, None when
+    inconsistent) and, when asked, the kernel basis of A, from one
+    reduction of [A | b].  Its pivots below column ncols are those of A."""
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)]
+                       or [[Fraction(0)] * (ncols + 1)])
+    particular = None
+    if pivots and pivots[-1] == ncols:
+        pivots = pivots[:-1]  # pivot in the augmented column: inconsistent
+    else:
+        particular = [Fraction(0)] * ncols
+        for r, pc in enumerate(pivots):
+            particular[pc] = red[r][ncols]
+    basis: list[Vec] = []
+    if kernel:
+        pivot_set = set(pivots)
+        for c in range(ncols):
+            if c in pivot_set:
+                continue
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][c]
+            basis.append(_normalize_integer_vector(v))
+    return particular, basis
+
+
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
     """Deterministic basis of the right kernel.
 
@@ -105,35 +185,15 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> l
         if not rows:
             raise ValueError("nullspace of an empty system needs ncols")
         ncols = len(rows[0])
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][c]
-        basis.append(_normalize_integer_vector(v))
-    return basis
+    return _solve(rows, [Fraction(0)] * len(rows), ncols)[1]
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
     """One exact solution of A x = b (free variables set to zero), or None."""
-    rows = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not rows:
+    rows = list(rows)
+    if not rows or not rhs:
         return []
-    ncols = len(rows[0]) - 1
-    red, pivots = rref(rows)
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+    return _solve(rows, rhs, len(rows[0]), kernel=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +224,9 @@ def euler_annihilators(f: Poly) -> AnnihilatorSpace:
         raise PolyError("the zero polynomial spans no support")
     support = f.support()
     rows = [[Fraction(e[i]) for i in range(f.ctx.nvars)] for e in support]
-    basis = tuple(tuple(v) for v in nullspace(rows, f.ctx.nvars))
-    unit = solve_linear(rows, [Fraction(1)] * len(rows))
-    return AnnihilatorSpace(basis, tuple(unit) if unit is not None else None)
+    unit, basis = _solve(rows, [Fraction(1)] * len(rows), f.ctx.nvars)
+    return AnnihilatorSpace(tuple(tuple(v) for v in basis),
+                            tuple(unit) if unit is not None else None)
 
 
 def two_weight_annihilator(f: Poly, v: Sequence, w: Sequence) -> tuple[Fraction, ...]:
@@ -322,8 +382,7 @@ def bounded_syzygy_solve(gens: Sequence[Sequence[Poly] | Poly], target, bound: i
                 hs[i] = hs[i] + ctx.monomial(e, c)
         return tuple(hs)
 
-    particular = solve_linear(rows, rhs)
-    kernel = nullspace(rows, len(columns))
+    particular, kernel = _solve(rows, rhs, len(columns))
     return SyzygyResult(
         assemble(particular) if particular is not None else None,
         tuple(assemble(v) for v in kernel),

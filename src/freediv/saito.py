@@ -208,20 +208,23 @@ def frame_divisor(factors: Sequence[Poly], matrix: PolyMatrix,
                 witness=offender,
             )
     cert = verify_saito(product, matrix)
-    applied = [matrix.left_apply(g.gradient()) for g in factors]
-    table = []
-    for j in range(matrix.ncols):
-        row = []
-        for i, g in enumerate(factors):
-            q = divide_exact(applied[i][j], g)
-            if q is None:
-                raise VerificationError(
-                    "factor_not_logarithmic",
-                    f"column {j} is not logarithmic for factor {i}",
-                    column=j,
-                )
-            row.append(q)
-        table.append(tuple(row))
+    if len(factors) == 1:  # the product is the factor: its quotients are the table
+        table = [(q,) for q in cert.log_quotients]
+    else:
+        applied = [matrix.left_apply(g.gradient()) for g in factors]
+        table = []
+        for j in range(matrix.ncols):
+            row = []
+            for i, g in enumerate(factors):
+                q = divide_exact(applied[i][j], g)
+                if q is None:
+                    raise VerificationError(
+                        "factor_not_logarithmic",
+                        f"column {j} is not logarithmic for factor {i}",
+                        column=j,
+                    )
+                row.append(q)
+            table.append(tuple(row))
     w = None
     if weight is not None:
         w = tuple(Fraction(x) for x in weight)

@@ -571,6 +571,17 @@ class TestCorpus:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "a: PASS expect=free actual=free"
 
+    def test_sum_compose_entry_names_a_variable_mismatch(self, capsys, tmp_path):
+        entry = {"id": "a", "vars": ["x", "y"], "f": "x*y", "expect": "free",
+                 "check": "sum_compose",
+                 "params": {"f": {"vars": ["x1", "x2"], "f": "x1*x2", "weights": ["1", "1"]},
+                            "g": {"vars": ["y1", "y2"], "f": "y1*y2", "weights": ["1", "1"]}}}
+        code, out, _ = self.run_corpus(capsys, tmp_path, [entry])
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines()[0] == (
+            "a: FAIL expect=free actual=error: sum composition variables "
+            "('x1', 'x2', 'y1', 'y2') differ from the entry's")
+
     @pytest.mark.parametrize("entries, message", [
         ([5], "corpus entry 0 is not an object"),
         ([{"id": "a", "vars": ["x"], "f": "x", "expect": "free"},

@@ -471,6 +471,10 @@ class TestTriangular:
         with pytest.raises(PreconditionError):
             brieskorn_seed(0, 2)
 
+    def test_seed_rejects_bool_exponent(self):
+        with pytest.raises(PreconditionError, match="got True"):
+            brieskorn_seed(True, 2)
+
     def test_nested_spheres_golden_matrix(self):
         fd = brieskorn_chain(2, 2, 2, 2, 2)
         ctx = fd.ctx
@@ -539,6 +543,12 @@ class TestTriangular:
             triangular_extend(
                 fd, TriangularStep(a=2, b=1, alpha=1, beta=1, new_var="x1")
             )
+
+    def test_step_rejects_bool_exponents(self):
+        with pytest.raises(PreconditionError, match="a must be a positive integer, got True"):
+            TriangularStep(a=True, b=1, alpha=1, beta=1, new_var="x3")
+        with pytest.raises(PreconditionError, match="b must be a positive integer, got True"):
+            TriangularStep(a=2, b=True, alpha=1, beta=1, new_var="x3")
 
     def test_rejects_zero_alpha_with_high_a(self):
         # alpha = 0 leaves the factor beta*(previous)^b: non-reduced product.
@@ -928,6 +938,13 @@ class TestJets:
         with pytest.raises(PreconditionError):
             multi_jet_extend(f, hb, (1, 1), 0)
 
+    def test_rejects_bool_levels(self):
+        ctx = Context(("x1", "x2"))
+        f = parse_poly("x1*x2", ctx)
+        hb = _nc_hb(f, (1, 1))
+        with pytest.raises(PreconditionError, match="m must be a positive integer, got True"):
+            multi_jet_extend(f, hb, (1, 1), True)
+
     def test_linearity_preserved_on_random_crossings(self):
         # tangent extensions of linear free divisors stay linear
         rng = make_rng(65)
@@ -1006,6 +1023,11 @@ class TestIterate:
         seq = iterate_tangent(ctx.var("x"), (1,), 0)
         assert len(seq) == 1
         assert seq[0].divisor == ctx.var("x")
+
+    def test_rejects_bool_steps(self):
+        ctx = Context(("x",))
+        with pytest.raises(PreconditionError, match="non-negative integer, got True"):
+            iterate_tangent(ctx.var("x"), (1,), True)
 
     def test_requires_matrix_for_non_monomial(self):
         ctx = Context(("x", "y"))

@@ -1,9 +1,15 @@
-"""Independent oracle for squarefreeness: sympy's square-free decomposition
-on seeded random polynomials, with and without planted squares."""
+"""Independent oracles from sympy: its square-free decomposition for
+squarefreeness, on seeded random polynomials with and without planted
+squares, and its exact row reduction for rref, nullspace and solve_linear, on
+derandomized sparse and dense rational systems."""
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import pytest
 
+from freediv.linalg import nullspace, rref, solve_linear
 from freediv.poly import Context, Poly, squarefree_gcd, squarefree_on_line
 
 from helpers import CASES, make_rng, rand_nonzero
@@ -64,3 +70,95 @@ def test_line_certificate_is_one_sided(planted):
         assert certified == 0
     else:
         assert certified > 0
+
+
+# ---------------------------------------------------------------------------
+# exact row reduction: rref, nullspace and solve_linear against sympy
+# ---------------------------------------------------------------------------
+
+
+def _to_fractions(m: sympy.Matrix) -> list[list[Fraction]]:
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+
+def _normalized(v: sympy.Matrix) -> list[Fraction]:
+    """Integer entries with content 1 and a positive first nonzero entry."""
+    den = math.lcm(*[int(x.q) for x in v])
+    ints = [int(x * den) for x in v]
+    g = math.gcd(*ints)
+    if g:
+        ints = [x // g for x in ints]
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
+    return [Fraction(x) for x in ints]
+
+
+def _system(rng, nrows: int, ncols: int, density: float) -> list[list[Fraction]]:
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.15:
+            rows.append([Fraction(0)] * ncols)  # an all-zero row
+            continue
+        rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density
+                     else Fraction(0) for _ in range(ncols)])
+    if rows and rng.random() < 0.5:
+        # a combination of two rows, so the rank falls short of the row count
+        a, b = rng.randrange(nrows), rng.randrange(nrows)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    return rows
+
+
+def _systems(salt: int):
+    """Empty, sparse and dense rational systems, derandomized by the salt."""
+    rng = make_rng(salt)
+    out = [[], [[Fraction(0)] * 3], [[Fraction(0)] * 4 for _ in range(3)]]
+    while len(out) < max(CASES // 8, 40):
+        density = rng.choice((0.1, 0.25, 1.0))
+        out.append(_system(rng, rng.randint(1, 9), rng.randint(1, 9), density))
+    return out
+
+
+def test_rref_agrees_with_sympy():
+    for rows in _systems(90):
+        red, pivots = rref(rows)
+        expected, expected_pivots = sympy.Matrix(rows).rref()
+        assert red == _to_fractions(expected), rows
+        assert pivots == list(expected_pivots), rows
+
+
+def test_nullspace_agrees_with_sympy():
+    for rows in _systems(91):
+        ncols = len(rows[0]) if rows else 3
+        m = sympy.Matrix(rows) if rows else sympy.zeros(0, ncols)
+        assert nullspace(rows, ncols) == [_normalized(v) for v in m.nullspace()], rows
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_solve_linear_agrees_with_sympy(consistent):
+    rng = make_rng(94 + consistent)
+    seen = 0
+    for rows in _systems(92 + consistent):
+        if not rows:
+            assert solve_linear(rows, []) == []
+            continue
+        m = sympy.Matrix(rows)
+        if consistent:
+            x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows[0]]
+            rhs = [sum((a * x for a, x in zip(r, x0)), Fraction(0)) for r in rows]
+        else:
+            rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows]
+            if m.rank() == m.row_join(sympy.Matrix(rhs)).rank():
+                continue
+        b = sympy.Matrix(rhs)
+        got = solve_linear(rows, rhs)
+        if consistent:
+            sol, params = m.gauss_jordan_solve(b)
+            expected = sol.subs({t: 0 for t in params})  # free variables set to zero
+            assert got == [Fraction(int(x.p), int(x.q)) for x in expected], (rows, rhs)
+        else:
+            with pytest.raises(ValueError):
+                m.gauss_jordan_solve(b)
+            assert got is None, (rows, rhs)
+        seen += 1
+    assert seen >= 10

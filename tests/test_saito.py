@@ -9,6 +9,7 @@ import pytest
 import freediv.poly
 import freediv.saito
 from freediv.cli import _matrix_entries, _parse_matrix
+from freediv.families import brieskorn_seed
 from freediv.matrices import PolyMatrix
 from freediv.poly import Context, NotHomogeneousError, divide_exact, parse_poly, sample_ints
 from freediv.saito import (
@@ -296,6 +297,20 @@ def test_frame_divisor_weight_checked():
     assert fd.weight == (2, 1)
     with pytest.raises(NotHomogeneousError):
         frame_divisor(factors, mat, weight=[1, 1])
+
+
+def test_single_factor_frame_reuses_the_certificate_quotients(monkeypatch):
+    calls = []
+    left_apply = PolyMatrix.left_apply
+
+    def counting(self, vector):
+        calls.append(1)
+        return left_apply(self, vector)
+
+    monkeypatch.setattr(PolyMatrix, "left_apply", counting)
+    fd = brieskorn_seed(2, 3)
+    assert len(calls) == 1
+    assert fd.multipliers == tuple((q,) for q in fd.certificate.log_quotients)
 
 
 # ---------------------------------------------------------------------------
