@@ -1,7 +1,9 @@
 """Independent oracles from sympy: its square-free decomposition for
 squarefreeness, on seeded random polynomials with and without planted
-squares, and its exact row reduction for rref, nullspace and solve_linear, on
-derandomized sparse and dense rational systems."""
+squares; its polynomial product, exact division, gcd and determinant for
+`Poly.__mul__`, `divide_exact`, `poly_gcd` and `PolyMatrix.det`; and its
+exact row reduction for rref, nullspace and solve_linear, on derandomized
+sparse and dense rational systems."""
 from __future__ import annotations
 
 import math
@@ -10,9 +12,12 @@ from fractions import Fraction
 import pytest
 
 from freediv.linalg import nullspace, rref, solve_linear
-from freediv.poly import Context, Poly, squarefree_gcd, squarefree_on_line
+from freediv.matrices import PolyMatrix
+from freediv.poly import (
+    Context, Poly, divide_exact, normalize_primitive, poly_gcd, squarefree_gcd, squarefree_on_line,
+)
 
-from helpers import CASES, make_rng, rand_nonzero
+from helpers import CASES, make_rng, rand_nonzero, rand_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -28,6 +33,10 @@ def to_sympy(p: Poly) -> sympy.Poly:
             mono *= s ** k
         expr += mono
     return sympy.Poly(expr, *SYMS, domain="QQ")
+
+
+def from_sympy(p: sympy.Poly) -> Poly:
+    return Poly(CTX, {tuple(e): Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c})
 
 
 def sympy_squarefree(p: Poly) -> bool:
@@ -70,6 +79,70 @@ def test_line_certificate_is_one_sided(planted):
         assert certified == 0
     else:
         assert certified > 0
+
+
+# ---------------------------------------------------------------------------
+# products, exact division, gcd and determinants against sympy
+# ---------------------------------------------------------------------------
+
+
+def _pairs(salt: int, count: int, **kw):
+    """Seeded pairs of nonzero polynomials with mixed denominators."""
+    rng = make_rng(salt)
+    return [(rand_nonzero(rng, CTX, **kw), rand_nonzero(rng, CTX, **kw)) for _ in range(count)]
+
+
+def test_mul_agrees_with_sympy():
+    pairs = _pairs(100, max(CASES // 10, 20), max_terms=6, max_deg=4)
+    x, y = CTX.gens()[:2]
+    pairs += [(x + y, x - y), (x - y, x - y), (CTX.monomial((2, 0, 1, 0), Fraction(-3, 2)), x + y),
+              (CTX.const(Fraction(5, 7)), x * y - 1)]
+    for a, b in pairs:
+        assert a * b == from_sympy(to_sympy(a) * to_sympy(b)), (a, b)
+
+
+def test_divide_exact_agrees_with_sympy_on_divisible_pairs():
+    for a, b in _pairs(101, max(CASES // 20, 20), max_terms=5, max_deg=3):
+        g = to_sympy(a) * to_sympy(b)  # the dividend is built by sympy, not by Poly.__mul__
+        q, r = g.div(to_sympy(b))
+        assert r.is_zero
+        assert divide_exact(from_sympy(g), b) == from_sympy(q), (a, b)
+
+
+def test_divide_exact_returns_none_on_non_divisible_pairs():
+    seen = 0
+    for g, f in _pairs(102, max(CASES // 20, 20), max_terms=5, max_deg=3):
+        if f.is_constant():
+            continue
+        _, r = to_sympy(g).div(to_sympy(f))
+        if r.is_zero:
+            continue
+        seen += 1
+        assert divide_exact(g, f) is None, (g, f)
+        # a non-divisible dividend that shares a factor with the divisor
+        h = to_sympy(g) * to_sympy(f) + to_sympy(g)
+        assert divide_exact(from_sympy(h), f) is None, (g, f)
+    assert seen >= 10
+
+
+def test_poly_gcd_agrees_with_sympy_up_to_normalization():
+    rng = make_rng(103)
+    for _ in range(max(CASES // 20, 20)):
+        a, b, c = (rand_nonzero(rng, CTX, max_terms=3, max_deg=2) for _ in range(3))
+        p, q = to_sympy(a) * to_sympy(c), to_sympy(b) * to_sympy(c)
+        expected = normalize_primitive(from_sympy(sympy.gcd(p, q)))
+        assert poly_gcd(from_sympy(p), from_sympy(q)) == expected, (a, b, c)
+
+
+def test_det_agrees_with_sympy():
+    rng = make_rng(104)
+    for _ in range(max(CASES // 40, 15)):
+        n = rng.randint(1, 4)
+        rows = [[rand_poly(rng, CTX, max_terms=3, max_deg=2) for _ in range(n)] for _ in range(n)]
+        m = sympy.Matrix([[to_sympy(p).as_expr() for p in r] for r in rows])
+        expected = from_sympy(sympy.Poly(m.det(method="berkowitz"), *SYMS, domain="QQ"))
+        for strategy in (None, "bareiss", "cofactor"):
+            assert PolyMatrix(CTX, rows).det(strategy) == expected, (strategy, rows)
 
 
 # ---------------------------------------------------------------------------
