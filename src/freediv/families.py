@@ -37,6 +37,7 @@ from .poly import (
     deg_shift_inverse,
     divide_exact,
     grevlex_key,
+    is_integer,
     normalize_primitive,
     poly_gcd,
     poly_product,
@@ -84,11 +85,6 @@ __all__ = [
     "normal_crossing_matrix",
     "given_or_normal_crossing",
 ]
-
-
-def _is_integer(v) -> bool:
-    """An int that is not a bool: True would be read as the exponent 1."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +145,12 @@ class BinomialSpec:
     z_name: str = "z"
 
     def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 0:
+        if not is_integer(self.n) or self.n < 0:
             raise PreconditionError(f"n must be a non-negative integer, got {self.n!r}")
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         for v in self.a + self.b + (self.u, self.t):
-            if not _is_integer(v):
+            if not is_integer(v):
                 raise PreconditionError(f"exponents must be integers, got {v!r}")
         if len(self.a) != self.n or len(self.b) != self.n:
             raise PreconditionError("exponent vectors a, b must have length n")
@@ -166,9 +162,9 @@ class BinomialSpec:
                     f"a and b must be componentwise coprime; position {i} has "
                     f"min({ai}, {bi}) != 0"
                 )
-        if not (_is_integer(self.alpha) and self.alpha >= 1):
+        if not (is_integer(self.alpha) and self.alpha >= 1):
             raise PreconditionError(f"alpha must be a positive integer, got {self.alpha!r}")
-        if not (_is_integer(self.beta) and self.beta >= 1):
+        if not (is_integer(self.beta) and self.beta >= 1):
             raise PreconditionError(f"beta must be a positive integer, got {self.beta!r}")
         if self.u not in (0, 1) or self.t not in (0, 1):
             raise PreconditionError("u and t must lie in {0, 1}")
@@ -559,13 +555,13 @@ def cone_family(
     The single smooth instance class (k = 1, a = 1, g = (0, 0, 0)) is
     rejected: the refutation branch presumes a singular divisor.
     """
-    if not _is_integer(k) or k < 1:
+    if not is_integer(k) or k < 1:
         raise PreconditionError(f"k must be a positive integer, got {k!r}")
     gammas = tuple(gammas)
-    if len(gammas) != 3 or any(not _is_integer(g) or g not in (0, 1) for g in gammas):
+    if len(gammas) != 3 or any(not is_integer(g) or g not in (0, 1) for g in gammas):
         raise PreconditionError("gammas must be three exponents in {0, 1}")
     for nm, v in (("a", a), ("b", b), ("c", c)):
-        if not _is_integer(v) or v < 1:
+        if not is_integer(v) or v < 1:
             raise PreconditionError(f"{nm} must be a positive integer, got {v!r}")
     alphas = tuple(Fraction(x) for x in alphas)
     if len(alphas) != k:
@@ -612,9 +608,9 @@ class TriangularStep:
     new_var: str
 
     def __post_init__(self):
-        if not _is_integer(self.a) or self.a < 1:
+        if not is_integer(self.a) or self.a < 1:
             raise PreconditionError(f"a must be a positive integer, got {self.a!r}")
-        if not _is_integer(self.b) or self.b < 1:
+        if not is_integer(self.b) or self.b < 1:
             raise PreconditionError(f"b must be a positive integer, got {self.b!r}")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
@@ -659,7 +655,7 @@ def triangular_extend(fd: FramedDivisor, step: TriangularStep) -> FramedDivisor:
 def brieskorn_seed(t1: int, t2: int, names: Sequence[str] = ("x1", "x2")) -> FramedDivisor:
     """Framed plane curve x1^t1 + x2^t2 with its weighted-Euler/rotation matrix."""
     for v in (t1, t2):
-        if not _is_integer(v) or v < 1:
+        if not is_integer(v) or v < 1:
             raise PreconditionError(f"exponents must be positive integers, got {v!r}")
     names = tuple(names)
     if len(names) != 2:
@@ -970,7 +966,7 @@ def multi_jet_extend(
     """
     ctx = f.ctx
     n = ctx.nvars
-    if not _is_integer(m) or m < 1:
+    if not is_integer(m) or m < 1:
         raise PreconditionError(f"m must be a positive integer, got {m!r}")
     if hb.divisor != f:
         raise PreconditionError("the Hilbert-Burch data describes a different divisor")
@@ -1060,7 +1056,7 @@ def iterate_tangent(
     variables, has 2^i times the seed's weighted degree, and is a product of
     i + 1 tracked factors; all three invariants are asserted.
     """
-    if not _is_integer(steps) or steps < 0:
+    if not is_integer(steps) or steps < 0:
         raise PreconditionError(f"steps must be a non-negative integer, got {steps!r}")
     matrix = given_or_normal_crossing(
         f0, matrix, "f0 is not a scaled squarefree monomial; supply a verified matrix"

@@ -4,12 +4,21 @@ A polynomial is an immutable map from exponent tuples to nonzero Fraction
 coefficients, attached to a Context that fixes the ordered variable names.
 Term order, where one is needed, is graded reverse lexicographic.  Every
 operation is exact; nothing here ever rounds.
+
+Coefficients are stored as Fractions, but products, exact quotients and
+evaluations run on integers inside their loops: a product multiplies integer
+numerators over each operand's common denominator, on exponents packed into
+one int; exact division divides integer numerators by the primitive integer
+form of the divisor, in one remainder updated in place; evaluation sums
+integer numerators over the common denominator.  Each builds Fractions only
+for what it returns.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
+from operator import add, lshift
 from typing import Callable, Iterable, Sequence
 
 Exponent = tuple[int, ...]
@@ -20,6 +29,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 class PolyError(Exception):
     """Base class for all polynomial-layer errors."""
+
+
+def is_integer(v) -> bool:
+    """An int that is not a bool: True would be read as the exponent 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class ParseError(PolyError):
@@ -90,8 +104,8 @@ class Context:
 
     def monomial(self, exps: Sequence[int], c=1) -> "Poly":
         c = Fraction(c)
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
+        exps = tuple(exps)
+        if len(exps) != self.nvars or any(not is_integer(e) or e < 0 for e in exps):
             raise PolyError(f"bad exponent tuple {exps} for context {self.names}")
         if c == 0:
             return self.zero()
@@ -115,10 +129,6 @@ class Context:
 def grevlex_key(e: Exponent):
     """Sort key realizing graded reverse lexicographic order (max = leading)."""
     return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def _exp_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _exp_div(a: Exponent, b: Exponent) -> Exponent | None:
@@ -239,23 +249,16 @@ class Poly:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return self.ctx.zero()
-        # iterate over the smaller operand outside for fewer dict rebuilds
-        a, b = (self, o) if len(self.terms) <= len(o.terms) else (o, self)
-        terms: dict[Exponent, Fraction] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = _exp_mul(ea, eb)
-                s = terms.get(e, Fraction(0)) + ca * cb
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return Poly(self.ctx, terms)
+        # the smaller operand runs in the outer loop
+        a, b = (self.terms, o.terms) if len(self.terms) <= len(o.terms) else (o.terms, self.terms)
+        if len(a) == 1:
+            return Poly(self.ctx, _mul_monomial(a, b))
+        return Poly(self.ctx, _mul_packed(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
+        if not is_integer(k) or k < 0:
             raise PolyError(f"exponent must be a non-negative integer, got {k!r}")
         result = self.ctx.const(1)
         base = self
@@ -316,12 +319,14 @@ class Poly:
         Z/modulus as an int (then every coefficient must be an integer)."""
         if len(point) != self.ctx.nvars:
             raise PolyError(f"{self.ctx.nvars} coordinates required, got {len(point)}")
-        if modulus is not None and any(c.denominator != 1 for c in self.terms.values()):
+        # the value is (sum of integer numerator * monomial value) / den
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        if modulus is not None and den != 1:
             raise PolyError("modular evaluation needs integer coefficients")
         powers: list[dict[int, object]] = [{} for _ in point]
         total = 0
         for e, c in self.terms.items():
-            m = 1
+            m = c.numerator * (den // c.denominator)
             for i, k in enumerate(e):
                 if k:
                     pw = powers[i].get(k)
@@ -329,11 +334,8 @@ class Poly:
                         pw = point[i] ** k if modulus is None else pow(point[i], k, modulus)
                         powers[i][k] = pw
                     m = m * pw
-            if modulus is None:
-                total += c * m
-            else:
-                total += c.numerator * m % modulus
-        return Fraction(total) if modulus is None else total % modulus
+            total += m if modulus is None else m % modulus
+        return Fraction(total, den) if modulus is None else total % modulus
 
     def euler_apply(self, weights: Sequence) -> "Poly":
         """Apply the weighted Euler operator sum_i w_i x_i d/dx_i (term-wise scaling)."""
@@ -391,6 +393,63 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
+# product kernels
+# ---------------------------------------------------------------------------
+
+
+def _mul_monomial(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
+    """The terms of a * b for a one-term a: distinct exponents stay distinct."""
+    ((ea, ca),) = a.items()
+    if ca == 1:
+        return {tuple(map(add, ea, eb)): cb for eb, cb in b.items()}
+    return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+
+
+def _mul_packed(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
+    """The terms of a * b, for the outer operand a, on integers.
+
+    Each exponent tuple is packed into one int, a field of w bits per
+    variable, w the bit length of (max exponent of a + max exponent of b)
+    widened to 8 when shorter, so that bytes() and int.to_bytes pack and
+    unpack in C.  Every exponent of the product fits its field, so adding
+    two packed ints adds the tuples with no carry between fields.
+    Coefficients are integer numerators over each operand's common
+    denominator.  Terms come out in the order, and with the values, of the
+    term-by-term Fraction loop: a sum that cancels is deleted and inserted
+    again if it reappears.
+    """
+    n = len(next(iter(a)))
+    width = (max(map(max, a)) + max(map(max, b))).bit_length()
+    if width <= 8:
+        def pack(e): return int.from_bytes(bytes(e), "little")
+        def unpack(k): return tuple(k.to_bytes(n, "little"))
+    else:
+        shifts = range(0, n * width, width)
+        mask = (1 << width) - 1
+        def pack(e): return sum(map(lshift, e, shifts))
+        def unpack(k): return tuple((k >> s) & mask for s in shifts)
+    da = lcm(*(c.denominator for c in a.values()))
+    db = lcm(*(c.denominator for c in b.values()))
+    bs = [(pack(e), c.numerator * (db // c.denominator)) for e, c in b.items()]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for e, c in a.items():
+        ka = pack(e)
+        va = c.numerator * (da // c.denominator)
+        for kb, vb in bs:
+            k = ka + kb
+            v = get(k, 0) + va * vb
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    den = da * db
+    if den == 1:
+        return {unpack(k): Fraction(v) for k, v in acc.items()}
+    return {unpack(k): Fraction(v, den) for k, v in acc.items()}
+
+
+# ---------------------------------------------------------------------------
 # exact division, gcd, squarefreeness
 # ---------------------------------------------------------------------------
 
@@ -398,9 +457,13 @@ class Poly:
 def divide_exact(g: Poly, f: Poly) -> Poly | None:
     """g / f when f divides g exactly, else None.
 
-    Single-divisor division: at each step the leading term of the remainder
-    must be divisible by the leading term of f — for an exact quotient this
-    always holds, so the first failure certifies non-divisibility.
+    Single-divisor division on integers.  Write f = (content/den) * F with F
+    primitive over Z and g = G/den_g with G over Z.  If F divides G then, by
+    Gauss's lemma, G/F has integer coefficients, and each step of the
+    division produces the next of them: the leading term of the remainder
+    is that coefficient times the leading term of F.  So the first step
+    whose leading exponent or coefficient does not divide certifies
+    non-divisibility.  The remainder is one dict, updated in place.
     """
     if g.ctx != f.ctx:
         raise PolyError("context mismatch in divide_exact")
@@ -409,18 +472,34 @@ def divide_exact(g: Poly, f: Poly) -> Poly | None:
     if g.is_zero():
         return g.ctx.zero()
     lf = f.lead_exponent()
-    cf = f.terms[lf]
-    q: dict[Exponent, Fraction] = {}
-    r = g
-    while not r.is_zero():
-        lr = r.lead_exponent()
+    den_f = lcm(*(c.denominator for c in f.terms.values()))
+    fs = {e: c.numerator * (den_f // c.denominator) for e, c in f.terms.items()}
+    content = int_gcd(*fs.values())
+    fs = {e: v // content for e, v in fs.items()}
+    lead = fs[lf]
+    den_g = lcm(*(c.denominator for c in g.terms.values()))
+    r = {e: c.numerator * (den_g // c.denominator) for e, c in g.terms.items()}
+    get = r.get
+    q: dict[Exponent, int] = {}
+    while r:
+        lr = max(r, key=grevlex_key)
         e = _exp_div(lr, lf)
         if e is None:
             return None
-        c = r.terms[lr] / cf
+        c, rest = divmod(r[lr], lead)
+        if rest:
+            return None
         q[e] = c
-        r = r - Poly(f.ctx, {_exp_mul(e, ef): c * cv for ef, cv in f.terms.items()})
-    return Poly(f.ctx, q)
+        for ef, cf in fs.items():
+            k = tuple(map(add, e, ef))
+            v = get(k, 0) - c * cf
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    # g / f = (G / F) * den_f / (den_g * content)
+    den = den_g * content
+    return Poly(f.ctx, {e: Fraction(c * den_f, den) for e, c in q.items()})
 
 
 def normalize_primitive(p: Poly) -> Poly:

@@ -52,6 +52,22 @@ def test_context_rejects_duplicates_and_bad_names():
         Context(["2bad"])
 
 
+def test_monomial_rejects_a_non_integer_exponent():
+    # int(1.7) would read it as x
+    with pytest.raises(PolyError):
+        Context(["x", "y"]).monomial((1.7, 0))
+
+
+def test_monomial_rejects_a_bool_exponent():
+    with pytest.raises(PolyError):
+        Context(["x", "y"]).monomial((True, 0))
+
+
+def test_pow_rejects_a_bool_exponent():
+    with pytest.raises(PolyError):
+        X ** True
+
+
 def test_extend_rejects_clash():
     with pytest.raises(PolyError):
         XYZ.extend(["y"])
