@@ -515,8 +515,9 @@ def euler3_divisor(f: Poly, e: Sequence) -> FamilyVerdict:
         reason = "all coefficients nonzero: diagonal-plus-polar construction succeeded"
     lam = minors_scalar(b, f)
     if lam == -1:
+        # every maximal minor of the 3 x 2 matrix holds column 0 once
         b = b.scale_column(0, -1)
-        lam = minors_scalar(b, f)
+        lam = 1
     if lam != 1:
         raise InternalCheckError(
             "signed maximal minors of the constructed matrix do not reproduce the gradient"

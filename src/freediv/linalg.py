@@ -300,6 +300,18 @@ def monomials_up_to_degree(ctx: Context, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _multipliers(ctx: Context, count: int, owners: Sequence[tuple[int, tuple[int, ...]]],
+                 coeffs: Sequence[Fraction]) -> tuple[Poly, ...]:
+    """Multiplier i of a solution: the sum of c * x^e over the unknowns (i, e)
+    it owns.  The exponents of one multiplier are distinct, so its terms are
+    set, not summed."""
+    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(count)]
+    for c, (i, e) in zip(coeffs, owners):
+        if c:
+            terms[i][e] = c
+    return tuple(Poly(ctx, t) for t in terms)
+
+
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
@@ -336,11 +348,7 @@ def graded_membership(target: Poly, gens: Sequence[Poly]) -> MembershipResult:
     sol = poly_linear_solve(columns, target)
     if sol is None:
         return MembershipResult(False, None)
-    mults = [ctx.zero() for _ in gens]
-    for c, (i, e) in zip(sol, owners):
-        if c:
-            mults[i] = mults[i] + ctx.monomial(e, c)
-    return MembershipResult(True, tuple(mults))
+    return MembershipResult(True, _multipliers(ctx, len(gens), owners, sol))
 
 
 @dataclass(frozen=True)
@@ -375,17 +383,10 @@ def bounded_syzygy_solve(gens: Sequence[Sequence[Poly] | Poly], target, bound: i
             owners.append((i, e))
     rows, rhs = _coefficient_system(columns, tvec)
 
-    def assemble(coeffs: Sequence[Fraction]) -> tuple[Poly, ...]:
-        hs = [ctx.zero() for _ in gvecs]
-        for c, (i, e) in zip(coeffs, owners):
-            if c:
-                hs[i] = hs[i] + ctx.monomial(e, c)
-        return tuple(hs)
-
     particular, kernel = _solve(rows, rhs, len(columns))
     return SyzygyResult(
-        assemble(particular) if particular is not None else None,
-        tuple(assemble(v) for v in kernel),
+        _multipliers(ctx, len(gvecs), owners, particular) if particular is not None else None,
+        tuple(_multipliers(ctx, len(gvecs), owners, v) for v in kernel),
     )
 
 
@@ -394,30 +395,21 @@ def bounded_syzygy_solve(gens: Sequence[Sequence[Poly] | Poly], target, bound: i
 # ---------------------------------------------------------------------------
 
 
+def _weighted_coordinates(ctx: Context, a: Sequence) -> list[Poly]:
+    """The polynomials a_i x_i."""
+    return [ctx.var(nm).scale(ai) for nm, ai in zip(ctx.names, a)]
+
+
 def koszul_contract_1form(omega: Sequence[Poly], a: Sequence) -> Poly:
     """The contraction sum_i a_i x_i omega_i (zero iff omega is a cycle)."""
     ctx = omega[0].ctx
-    s = ctx.zero()
-    for i, (p, ai) in enumerate(zip(omega, a)):
-        ai = Fraction(ai)
-        if ai and not p.is_zero():
-            s = s + ctx.var(ctx.names[i]) * p.scale(ai)
-    return s
+    return ctx.sum(v * p for v, p in zip(_weighted_coordinates(ctx, a), omega)
+                   if not v.is_zero() and not p.is_zero())
 
 
 def koszul_contract_2form(m, a: Sequence) -> list[Poly]:
     """Contraction of an antisymmetric matrix 2-form: component k is sum_j a_j x_j M[j][k]."""
-    ctx = m.ctx
-    n = m.nrows
-    out = []
-    for k in range(n):
-        s = ctx.zero()
-        for j in range(n):
-            aj = Fraction(a[j])
-            if aj and not m.entry(j, k).is_zero():
-                s = s + ctx.var(ctx.names[j]) * m.entry(j, k).scale(aj)
-        out.append(s)
-    return out
+    return m.left_apply(_weighted_coordinates(m.ctx, a))
 
 
 def koszul_homotopy_1cycle(omega: Sequence[Poly], a: Sequence, d=1):

@@ -88,9 +88,6 @@ class PolyMatrix:
 
     # -- surgery ----------------------------------------------------------------
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.ctx, [self.col(j) for j in range(self.ncols)])
-
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix(self.ctx, [[self.rows[i][j] for j in keep_cols] for i in keep_rows])
 
@@ -106,12 +103,6 @@ class PolyMatrix:
         rows = [tuple(p.scale(c) if k == j else p for k, p in enumerate(r)) for r in self.rows]
         return PolyMatrix(self.ctx, rows)
 
-    def permuted_rows(self, perm: Sequence[int]) -> "PolyMatrix":
-        """Row i of the result is row perm[i] of self."""
-        if sorted(perm) != list(range(self.nrows)):
-            raise MatrixError("not a permutation")
-        return PolyMatrix(self.ctx, [self.rows[p] for p in perm])
-
     def embedded(self, big: Context) -> "PolyMatrix":
         return PolyMatrix(big, [[p.embedded(big) for p in r] for r in self.rows])
 
@@ -122,50 +113,14 @@ class PolyMatrix:
             return NotImplemented
         if self.ctx != other.ctx or self.ncols != other.nrows:
             raise MatrixError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        zero = self.ctx.zero()
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                s = zero
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if not a.is_zero():
-                        b = other.rows[k][j]
-                        if not b.is_zero():
-                            s = s + a * b
-                row.append(s)
-            out.append(row)
-        return PolyMatrix(self.ctx, out)
-
-    def apply(self, vec: Sequence[Poly]) -> list[Poly]:
-        """Matrix times column vector."""
-        if len(vec) != self.ncols:
-            raise MatrixError("vector length mismatch")
-        zero = self.ctx.zero()
-        out = []
-        for r in self.rows:
-            s = zero
-            for a, v in zip(r, vec):
-                if not a.is_zero() and not v.is_zero():
-                    s = s + a * v
-            out.append(s)
-        return out
+        return PolyMatrix(self.ctx, [other.left_apply(row) for row in self.rows])
 
     def left_apply(self, vec: Sequence[Poly]) -> list[Poly]:
         """Row vector times matrix (e.g. a gradient against columns)."""
         if len(vec) != self.nrows:
             raise MatrixError("vector length mismatch")
-        zero = self.ctx.zero()
-        out = []
-        for j in range(self.ncols):
-            s = zero
-            for i in range(self.nrows):
-                v, a = vec[i], self.rows[i][j]
-                if not v.is_zero() and not a.is_zero():
-                    s = s + v * a
-            out.append(s)
-        return out
+        return [self.ctx.sum(v * a for v, a in zip(vec, col) if not v.is_zero() and not a.is_zero())
+                for col in zip(*self.rows)]
 
     # -- determinants ---------------------------------------------------------------
 
@@ -223,7 +178,6 @@ class PolyMatrix:
     def _det_cofactor(self) -> Poly:
         n = self.nrows
         rows = self.rows
-        zero = self.ctx.zero()
         memo: dict[tuple[int, int], Poly] = {}
 
         def rec(rmask: int, cmask: int) -> Poly:
@@ -245,13 +199,11 @@ class PolyMatrix:
             else:
                 t = best - len(rlist)
                 line = [(i, clist[t], s + t) for s, i in enumerate(rlist)]
-            total = zero
-            for i, j, parity in line:
-                a = rows[i][j]
-                if a.is_zero():
-                    continue
-                piece = a * rec(rmask & ~(1 << i), cmask & ~(1 << j))
-                total = total + (piece.scale(-1) if parity % 2 else piece)
+            def signed(i: int, j: int, parity: int) -> Poly:
+                piece = rows[i][j] * rec(rmask & ~(1 << i), cmask & ~(1 << j))
+                return piece.scale(-1) if parity % 2 else piece
+            total = self.ctx.sum(signed(i, j, parity) for i, j, parity in line
+                                 if not rows[i][j].is_zero())
             memo[key] = total
             return total
 

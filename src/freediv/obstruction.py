@@ -311,10 +311,7 @@ def smooth_times_nc_verdict(
                        for i, row in enumerate(coeff_rows)])
     inverse = [row[n:] for row in reduced]
     new_coords = [
-        sum(
-            (ctx.var(ctx.names[j]).scale(inverse[i][j]) for j in range(n)),
-            ctx.zero(),
-        )
+        ctx.sum(ctx.var(ctx.names[j]).scale(inverse[i][j]) for j in range(n))
         for i in range(n)
     ]
     for i, ell in enumerate(ells):

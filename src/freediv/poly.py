@@ -11,7 +11,8 @@ numerators over each operand's common denominator, on exponents packed into
 one int; exact division divides integer numerators by the primitive integer
 form of the divisor, in one remainder updated in place; evaluation sums
 integer numerators over the common denominator.  Each builds Fractions only
-for what it returns.
+for what it returns.  Every sum of polynomials, `+` included, is
+Context.sum: the terms accumulate in one dict, not in a copy per addition.
 """
 from __future__ import annotations
 
@@ -111,6 +112,31 @@ class Context:
             return self.zero()
         return Poly(self, {exps: c})
 
+    def sum(self, polys: Iterable["Poly"]) -> "Poly":
+        """The sum of the polynomials over this context; zero when there are none.
+
+        The first operand's terms are copied and the rest are added into that
+        one dict in place.  A sum that cancels is deleted, and inserted again
+        if its exponent reappears, so the result has the terms, values and
+        term order of the left-to-right fold p1 + p2 + ... without copying
+        each partial sum.
+        """
+        terms: dict[Exponent, Fraction] | None = None
+        for p in polys:
+            if p.ctx is not self and p.ctx != self:
+                raise PolyError(f"context mismatch: {self} vs {p.ctx}")
+            if terms is None:
+                terms = dict(p.terms)
+                continue
+            for e, c in p.terms.items():
+                if e in terms:
+                    c += terms[e]
+                    if not c:
+                        del terms[e]
+                        continue
+                terms[e] = c
+        return Poly(self, terms or {})
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Context) and self.names == other.names
 
@@ -194,14 +220,6 @@ class Poly:
         """Exponents in descending term order (deterministic)."""
         return sorted(self.terms, key=grevlex_key, reverse=True)
 
-    def variables_used(self) -> tuple[str, ...]:
-        used = [False] * self.ctx.nvars
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used[i] = True
-        return tuple(nm for nm, u in zip(self.ctx.names, used) if u)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Poly | None":
@@ -217,14 +235,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.ctx, terms)
+        return self.ctx.sum((self, o))
 
     __radd__ = __add__
 
@@ -337,18 +348,21 @@ class Poly:
             total += m if modulus is None else m % modulus
         return Fraction(total, den) if modulus is None else total % modulus
 
-    def euler_apply(self, weights: Sequence) -> "Poly":
-        """Apply the weighted Euler operator sum_i w_i x_i d/dx_i (term-wise scaling)."""
+    def _weights(self, weights: Sequence) -> list[Fraction]:
+        """The weight vector as Fractions, one per variable."""
         w = [Fraction(x) for x in weights]
         if len(w) != self.ctx.nvars:
             raise PolyError("weight vector length mismatch")
+        return w
+
+    def euler_apply(self, weights: Sequence) -> "Poly":
+        """Apply the weighted Euler operator sum_i w_i x_i d/dx_i (term-wise scaling)."""
+        w = self._weights(weights)
         return self.map_terms(lambda e, c: c * sum(wi * ei for wi, ei in zip(w, e)))
 
     def weighted_degree(self, weights: Sequence) -> Fraction:
         """Degree under a weight vector; error unless all terms agree (or f = 0)."""
-        w = [Fraction(x) for x in weights]
-        if len(w) != self.ctx.nvars:
-            raise PolyError("weight vector length mismatch")
+        w = self._weights(weights)
         if self.is_zero():
             raise PolyError("the zero polynomial has no degree")
         degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}
@@ -359,15 +373,14 @@ class Poly:
         return degs.pop()
 
     def is_homogeneous(self, weights: Sequence | None = None) -> bool:
+        """Do all terms have one degree: the total degree, or the degree under
+        `weights`?  The zero polynomial is homogeneous."""
         if self.is_zero():
             return True
         if weights is None:
-            weights = [1] * self.ctx.nvars
-        try:
-            self.weighted_degree(weights)
-            return True
-        except NotHomogeneousError:
-            return False
+            return len({sum(e) for e in self.terms}) == 1
+        w = self._weights(weights)
+        return len({sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}) == 1
 
     # -- context surgery ------------------------------------------------------
 
@@ -530,12 +543,8 @@ def _content_wrt(p: Poly, v: int) -> list[Poly]:
 
 
 def _from_univariate(coeffs: list[Poly], v: int, ctx: Context) -> Poly:
-    out = ctx.zero()
     xv = ctx.var(ctx.names[v])
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + c * xv ** k
-    return out
+    return ctx.sum(c * xv ** k for k, c in enumerate(coeffs) if not c.is_zero())
 
 
 def _uni_degree(coeffs: list[Poly]) -> int:
@@ -832,14 +841,13 @@ def substitute(h: Poly, args: Sequence[Poly]) -> Poly:
         if k not in cache:
             cache[k] = power(i, k - 1) * cache[1]
         return cache[k]
-    out = ctx.zero()
-    for e, c in sorted(h.terms.items(), key=lambda t: grevlex_key(t[0])):
-        term = ctx.const(c)
+    def term(e: Exponent, c: Fraction) -> Poly:
+        t = ctx.const(c)
         for i, k in enumerate(e):
             if k:
-                term = term * power(i, k)
-        out = out + term
-    return out
+                t = t * power(i, k)
+        return t
+    return ctx.sum(term(e, c) for e, c in sorted(h.terms.items(), key=lambda t: grevlex_key(t[0])))
 
 
 def star(p: Poly, big: Context, fresh: Sequence[str]) -> Poly:
@@ -847,12 +855,8 @@ def star(p: Poly, big: Context, fresh: Sequence[str]) -> Poly:
     context that contains the fresh names y_i (one per variable of p)."""
     if len(fresh) != p.ctx.nvars:
         raise PolyError(f"need {p.ctx.nvars} fresh names, got {len(fresh)}")
-    out = big.zero()
-    for i, y in enumerate(fresh):
-        d = p.derivative(i)
-        if not d.is_zero():
-            out = out + big.var(y) * d.embedded(big)
-    return out
+    return big.sum(big.var(y) * d.embedded(big)
+                   for y, d in zip(fresh, p.gradient()) if not d.is_zero())
 
 
 def deg_shift_inverse(f: Poly, d, y_vars: Sequence[int | str] | None = None) -> Poly:
@@ -937,15 +941,15 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        p = self.term()
+        terms = [self.term()]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 q = self.term()
-                p = p - q if val == "-" else p + q
+                terms.append(-q if val == "-" else q)
             else:
-                return p
+                return self.ctx.sum(terms)
 
     def term(self) -> Poly:
         p = self.factor()

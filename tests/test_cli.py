@@ -7,6 +7,7 @@ module in a subprocess to cover the packaging path.
 
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -707,12 +708,17 @@ class TestArgparseBehavior:
         assert exc.value.code == 2
 
     def test_module_entry_point_subprocess(self):
+        # the child imports the package this process imported, installed or
+        # found through pytest's pythonpath setting
+        package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "freediv.cli", "parse", "--f", "x*y",
              "--vars", "x,y"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["f"] == "x*y"

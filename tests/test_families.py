@@ -79,6 +79,25 @@ def bareiss_oracle(monkeypatch):
     return checked
 
 
+@pytest.fixture(autouse=True)
+def hilbert_burch_oracle(monkeypatch):
+    """Check every Hilbert-Burch matrix built in this module against its
+    definition: the signed maximal minors must equal scalar * grad f.  The
+    constructors rescale a column instead of recomputing the minors."""
+    build = freediv.saito.HilbertBurch
+    checked = []
+
+    def checking(divisor, matrix, scalar):
+        expected = [g.scale(scalar) for g in divisor.gradient()]
+        assert matrix.signed_maximal_minors() == expected
+        checked.append(matrix.nrows)
+        return build(divisor, matrix, scalar)
+
+    for module in (freediv.saito, freediv.families):
+        monkeypatch.setattr(module, "HilbertBurch", checking)
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # monomial-times-binomial divisors
 # ---------------------------------------------------------------------------
@@ -1045,12 +1064,13 @@ class TestIterate:
             "z1 + z2", big
         )
 
-    def test_three_steps_to_sixteen_variables(self, bareiss_oracle):
+    def test_three_steps_to_sixteen_variables(self, bareiss_oracle, hilbert_burch_oracle):
         ctx = Context(("x1", "x2"))
         seq = iterate_tangent(parse_poly("x1*x2", ctx), (1, 1), 3)
         assert seq[3].divisor.ctx.nvars == 16
         assert seq[3].det_scalar == 8
         assert max(bareiss_oracle) == 16
+        assert hilbert_burch_oracle == [2, 4, 8]
 
 
 class TestNormalCrossing:

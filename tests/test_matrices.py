@@ -106,8 +106,9 @@ def test_det_transpose_and_row_swap():
     rng = make_rng(23)
     for _ in range(200):
         m = rand_matrix(rng, 3)
-        assert m.transpose().det() == m.det()
-        swapped = m.permuted_rows([1, 0, 2])
+        transposed = PolyMatrix(XYZ, list(zip(*m.rows)))
+        assert transposed.det() == m.det()
+        swapped = PolyMatrix(XYZ, [m.rows[1], m.rows[0], m.rows[2]])
         assert swapped.det() == m.det().scale(-1)
 
 
@@ -173,7 +174,7 @@ def test_matmul_and_apply_oracles():
     a = M([["x", "y"], ["0", "z"]])
     b = M([["1", "0"], ["y", "x"]])
     assert a @ b == M([["x + y^2", "x*y"], ["y*z", "x*z"]])
-    assert a.apply([P("1"), P("y")]) == [P("x + y^2"), P("y*z")]
+    assert a @ M([["1"], ["y"]]) == M([["x + y^2"], ["y*z"]])
     assert a.left_apply([P("1"), P("y")]) == [P("x"), P("y + y*z")]
 
 

@@ -84,11 +84,6 @@ def test_zero_and_constant_queries():
         XYZ.zero().total_degree()
 
 
-def test_variables_used():
-    assert (X * Z + 1).variables_used() == ("x", "z")
-    assert XYZ.const(5).variables_used() == ()
-
-
 # ---------------------------------------------------------------------------
 # grevlex order
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The integer kernels of `Poly.__mul__`, `divide_exact` and `Poly.evaluate`
-against the term-by-term Fraction loops they replaced, kept here as the
-reference: same terms, same values and, for products, the same term order."""
+"""The integer kernels of `Poly.__mul__`, `divide_exact` and `Poly.evaluate`,
+and the one-dict sums of `Context.sum`, against the term-by-term Fraction
+loops they replaced, kept here as the reference: same terms, same values and,
+for products and sums, the same term order."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freediv.poly import Context, Poly, PolyError, _exp_div, divide_exact
+from freediv.matrices import PolyMatrix
+from freediv.poly import Context, Poly, PolyError, _exp_div, divide_exact, grevlex_key, star, substitute
 
 # ---------------------------------------------------------------------------
 # the reference loops: every coefficient a Fraction, every step a Fraction op
@@ -65,6 +67,79 @@ def ref_evaluate(p: Poly, point, modulus=None):
         else:
             total += c.numerator * m % modulus
     return Fraction(total) if modulus is None else total % modulus
+
+
+def ref_add(p: Poly, q: Poly) -> Poly:
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        s = terms.get(e, Fraction(0)) + c
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return Poly(p.ctx, terms)
+
+
+def ref_sum(ctx: Context, polys) -> Poly:
+    out = ctx.zero()
+    for p in polys:
+        out = ref_add(out, p)
+    return out
+
+
+def ref_substitute(h: Poly, args) -> Poly:
+    ctx = args[0].ctx
+    pows = [{0: ctx.const(1), 1: a} for a in args]
+
+    def power(i, k):
+        cache = pows[i]
+        if k not in cache:
+            cache[k] = power(i, k - 1) * cache[1]
+        return cache[k]
+    out = ctx.zero()
+    for e, c in sorted(h.terms.items(), key=lambda t: grevlex_key(t[0])):
+        term = ctx.const(c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_star(p: Poly, big: Context, fresh) -> Poly:
+    out = big.zero()
+    for i, y in enumerate(fresh):
+        d = p.derivative(i)
+        if not d.is_zero():
+            out = ref_add(out, big.var(y) * d.embedded(big))
+    return out
+
+
+def ref_left_apply(m: PolyMatrix, vec) -> list[Poly]:
+    out = []
+    for j in range(m.ncols):
+        s = m.ctx.zero()
+        for i in range(m.nrows):
+            v, a = vec[i], m.rows[i][j]
+            if not v.is_zero() and not a.is_zero():
+                s = ref_add(s, v * a)
+        out.append(s)
+    return out
+
+
+def ref_matmul(a: PolyMatrix, b: PolyMatrix) -> list[list[Poly]]:
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            s = a.ctx.zero()
+            for k in range(a.ncols):
+                x, y = a.rows[i][k], b.rows[k][j]
+                if not x.is_zero() and not y.is_zero():
+                    s = ref_add(s, x * y)
+            row.append(s)
+        out.append(row)
+    return out
 
 
 def same(p: Poly, q: Poly) -> bool:
@@ -161,8 +236,45 @@ def test_modular_evaluation_needs_integer_coefficients():
     assert p.evaluate((4, 9), 7) == ref_evaluate(p, (4, 9), 7)
 
 
+def test_empty_sum():
+    assert same(XY.sum([]), XY.zero())
+    assert same(XY.sum(iter(())), XY.zero())
+
+
+def test_sum_that_cancels_to_zero():
+    got = XY.sum([X + Y, -X, -Y])
+    assert got.is_zero() and got.terms == {}
+    assert same(got, ref_sum(XY, [X + Y, -X, -Y]))
+
+
+def test_term_that_cancels_and_comes_back():
+    # x cancels on the second operand and comes back on the fourth: it is
+    # inserted again at the end, as the left-to-right fold does
+    polys = [X + Y, -X, Y.scale(2), X.scale(Fraction(1, 3))]
+    got = XY.sum(polys)
+    assert same(got, ref_sum(XY, polys))
+    assert list(got.terms.items()) == [((0, 1), 3), ((1, 0), Fraction(1, 3))]
+
+
+def test_one_operand_sum_is_a_copy():
+    p = X * Y + XY.const(2)
+    got = XY.sum([p])
+    assert same(got, p)
+    assert got.terms is not p.terms
+
+
+def test_sum_context_mismatch():
+    x3 = XYZ.gens()[0]
+    with pytest.raises(PolyError, match="context mismatch"):
+        XY.sum([X, x3])
+    with pytest.raises(PolyError, match="context mismatch"):
+        XY.sum([x3])
+    with pytest.raises(PolyError, match="context mismatch"):
+        X + x3
+
+
 # ---------------------------------------------------------------------------
-# property test against the reference loops
+# property tests against the reference loops
 # ---------------------------------------------------------------------------
 
 _COEFF = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 6, 35]))
@@ -209,3 +321,40 @@ def test_kernels_agree_with_the_reference_loops(data):
     mod_point = [int(x) for x in point]
     assert ints.evaluate(mod_point, 1009) == ref_evaluate(ints, mod_point, 1009)
 
+
+
+# exponents in 0..2 collide often, so sums cancel and terms come back
+_TINY_EXP = st.integers(0, 2)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_sums_agree_with_the_reference_fold(data):
+    nvars = data.draw(st.integers(1, 3))
+    ctx = Context([f"x{i}" for i in range(nvars)])
+    polys = data.draw(_polys(nvars, data.draw(st.integers(0, 6)), _TINY_EXP))
+    assert same(ctx.sum(polys), ref_sum(ctx, polys))
+    assert same(ctx.sum(iter(polys)), ref_sum(ctx, polys))
+    a, b = data.draw(_polys(nvars, 2, _TINY_EXP))
+    assert same(a + b, ref_add(a, b))
+    assert same(a - b, ref_add(a, -b))
+
+    k = data.draw(st.integers(1, 3))
+    (h,) = data.draw(_polys(k, 1, _SMALL_EXP))
+    args = data.draw(_polys(nvars, k, _TINY_EXP))
+    assert same(substitute(h, args), ref_substitute(h, args))
+
+    fresh = [f"y{i}" for i in range(nvars)]
+    big = ctx.extend(fresh)
+    assert same(star(a, big, fresh), ref_star(a, big, fresh))
+
+    r, c, c2 = (data.draw(st.integers(1, 3)) for _ in range(3))
+    cells = data.draw(_polys(nvars, r * c + c * c2 + r, _TINY_EXP))
+    m = PolyMatrix(ctx, [cells[i * c:(i + 1) * c] for i in range(r)])
+    other = PolyMatrix(ctx, [cells[r * c + i * c2:r * c + (i + 1) * c2] for i in range(c)])
+    vec = cells[r * c + c * c2:]
+    got, expected = m.left_apply(vec), ref_left_apply(m, vec)
+    assert len(got) == len(expected) and all(map(same, got, expected))
+    product = m @ other
+    for row, expected_row in zip(product.rows, ref_matmul(m, other), strict=True):
+        assert all(map(same, row, expected_row)) and len(row) == len(expected_row)
