@@ -15,12 +15,18 @@ output, entry for entry.  Each system is reduced once: `_solve` reduces the
 augmented [A | b] and reads both the solution with free variables set to
 zero and the kernel basis of A from it, because the pivots of [A | b] left
 of its last column are exactly those of A.
+
+`fraction_det`, the point determinant of Saito's lemma and of the minors
+lemma in `saito`, is fraction-free Bareiss elimination (E. H. Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968) on the rows scaled to integers: every
+division is exact, and the only Fraction is the one it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 from .matrices import PolyMatrix
@@ -109,24 +115,36 @@ def _eliminate(row: dict[int, Fraction], c: int, rest: list[tuple[int, Fraction]
 
 
 def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by Gaussian elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Determinant of a square rational matrix by fraction-free elimination.
+
+    Each row is scaled by the lcm of its denominators, so that the integer
+    determinant is den times the rational one; Bareiss elimination then
+    divides every updated entry exactly by the previous pivot, and one
+    Fraction is built at the end.
+    """
+    den = 1
+    m = []
+    for r in rows:
+        r = [x if type(x) is Fraction else Fraction(x) for x in r]
+        d = lcm(*(x.denominator for x in r))
+        den *= d
+        m.append([x.numerator * (d // x.denominator) for x in r])
     n = len(m)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
             return Fraction(0)
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                factor = m[i][c] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return det
+            sign = -sign
+        pivot, top = m[c][c], m[c]
+        for row in m[c + 1:]:
+            lead = row[c]
+            for j in range(c + 1, n):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * prev, den)
 
 
 def _normalize_integer_vector(v: Vec) -> Vec:

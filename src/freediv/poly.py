@@ -10,8 +10,9 @@ evaluations run on integers inside their loops: a product multiplies integer
 numerators over each operand's common denominator, on exponents packed into
 one int; exact division divides integer numerators by the primitive integer
 form of the divisor, in one remainder updated in place; evaluation sums
-integer numerators over the common denominator.  Each builds Fractions only
-for what it returns.  Every sum of polynomials, `+` included, is
+integer numerators over the common denominator, and weighted degrees sum
+exponents times the weights scaled by the lcm of their denominators.  Each
+builds Fractions only for what it returns.  Every sum of polynomials, `+` included, is
 Context.sum: the terms accumulate in one dict, not in a copy per addition.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from operator import add, lshift
+from operator import add, lshift, mul
 from typing import Callable, Iterable, Sequence
 
 Exponent = tuple[int, ...]
@@ -360,17 +361,26 @@ class Poly:
         w = self._weights(weights)
         return self.map_terms(lambda e, c: c * sum(wi * ei for wi, ei in zip(w, e)))
 
+    def _degree_sums(self, w: list[Fraction]) -> tuple[set[int], int]:
+        """The distinct degrees of the terms under the weights w, each as an
+        integer numerator over the lcm of the weights' denominators, and that
+        lcm."""
+        den = lcm(*(x.denominator for x in w))
+        iw = [x.numerator * (den // x.denominator) for x in w]
+        return {sum(map(mul, iw, e)) for e in self.terms}, den
+
     def weighted_degree(self, weights: Sequence) -> Fraction:
         """Degree under a weight vector; error unless all terms agree (or f = 0)."""
         w = self._weights(weights)
         if self.is_zero():
             raise PolyError("the zero polynomial has no degree")
-        degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}
+        degs, den = self._degree_sums(w)
         if len(degs) != 1:
             raise NotHomogeneousError(
-                f"not homogeneous for weights {tuple(map(str, w))}: degrees {sorted(map(str, degs))}"
+                f"not homogeneous for weights {tuple(map(str, w))}: "
+                f"degrees {sorted(str(Fraction(k, den)) for k in degs)}"
             )
-        return degs.pop()
+        return Fraction(degs.pop(), den)
 
     def is_homogeneous(self, weights: Sequence | None = None) -> bool:
         """Do all terms have one degree: the total degree, or the degree under
@@ -379,8 +389,7 @@ class Poly:
             return True
         if weights is None:
             return len({sum(e) for e in self.terms}) == 1
-        w = self._weights(weights)
-        return len({sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}) == 1
+        return len(self._degree_sums(self._weights(weights))[0]) == 1
 
     # -- context surgery ------------------------------------------------------
 
@@ -730,20 +739,15 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def squarefree_on_line(f: Poly) -> bool:
-    """One-sided exact test: True proves f nonzero and squarefree over Q.
+def _on_line(f: Poly) -> list[int] | None:
+    """The restriction of a nonzero f to the fixed line of its context.
 
-    The integer multiple F of f is restricted to the fixed line a + t*b modulo
-    LINE_PRIME.  True means U(t) = F(a + t*b) keeps the total degree of f and
-    gcd(U, U') is constant in F_p[t].  That proves f squarefree: were g a
-    repeated factor, Gauss's lemma gives F = c * G^2 * H over Z with G of
-    positive degree, the kept top coefficient c * G_top(b)^2 * H_top(b) keeps
-    G(a + t*b) at that degree mod p, and U would have a square factor.  False
-    proves nothing (an unlucky line, or p dividing the content of F), and is
-    the answer for f = 0.
+    F is the integer multiple of f by the lcm of its denominators and a + t*b
+    the line, drawn by sample_ints from the number of variables alone.  The
+    result is the coefficient list (constant first) of U(t) = F(a + t*b)
+    modulo LINE_PRIME, of length deg f + 1; None when U drops below the total
+    degree of f.
     """
-    if f.is_zero():
-        return False
     p = LINE_PRIME
     n = f.ctx.nvars
     d = f.total_degree()
@@ -752,10 +756,54 @@ def squarefree_on_line(f: Poly) -> bool:
     a, b = line[:n], line[n:]
     values = [F.evaluate([(x + t * y) % p for x, y in zip(a, b)], p) for t in range(d + 1)]
     u = _interpolate_mod(values, p)
-    if u[d] == 0:
+    return u if u[d] else None
+
+
+def squarefree_on_line(f: Poly) -> bool:
+    """One-sided exact test: True proves f nonzero and squarefree over Q.
+
+    True means the restriction U(t) = F(a + t*b) of _on_line keeps the total
+    degree of f and gcd(U, U') is constant in F_p[t].  That proves f
+    squarefree: were g a repeated factor, Gauss's lemma gives
+    F = c * G^2 * H over Z with G of positive degree, the kept top coefficient
+    c * G_top(b)^2 * H_top(b) keeps G(a + t*b) at that degree mod p, and U
+    would have a square factor.  False proves nothing (an unlucky line, or p
+    dividing the content of F), and is the answer for f = 0.
+    """
+    if f.is_zero():
         return False
-    du = [k * u[k] % p for k in range(1, d + 1)]
+    u = _on_line(f)
+    if u is None:
+        return False
+    p = LINE_PRIME
+    du = [k * u[k] % p for k in range(1, len(u))]
     return len(_gcd_mod(u, du, p)) == 1
+
+
+def coprime_on_line(polys: Sequence[Poly]) -> bool:
+    """One-sided exact test: True proves that the polynomials, all nonzero,
+    have no common factor of positive degree over Q.
+
+    True means the restrictions of _on_line keep the total degrees of the
+    polynomials they restrict and have a constant gcd in F_p[t] (checked over
+    the polynomials in order, stopping once the running gcd is constant).  A
+    common factor of positive degree would, by Gauss's lemma, be a primitive
+    integer c dividing each integer multiple G_j over Z; the kept top
+    coefficient of G_j keeps c(a + t*b) at degree deg c mod p, and it would
+    divide every restriction.  False proves nothing; it is the answer for no
+    polynomials or a zero one.
+    """
+    if not polys or any(g.is_zero() for g in polys):
+        return False
+    common = None
+    for g in polys:
+        u = _on_line(g)
+        if u is None:
+            return False
+        common = u if common is None else _gcd_mod(common, u, LINE_PRIME)
+        if len(common) == 1:
+            return True
+    return False
 
 
 def squarefree_gcd(f: Poly) -> Poly:

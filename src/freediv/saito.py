@@ -19,6 +19,11 @@ f(p) != 0.  Otherwise (bound too large, c = 0, no such point among the fixed
 candidates, or a column not logarithmic) det A is expanded by the Bareiss /
 cofactor determinant, exactly as without the lemma.
 
+minors_scalar proves a Hilbert-Burch matrix the same way: when B^T grad f = 0,
+the partials are certified coprime on the line (poly.coprime_on_line) and a
+row passes the degree bound, the signed maximal minors are a constant times
+grad f, read at one point; otherwise the n minors are expanded.
+
 A FramedDivisor couples a factored divisor with a verified Saito matrix plus
 the exact per-column, per-factor logarithmic multipliers.  euler_frame
 normalizes any Saito matrix of a weighted-homogeneous divisor into the strict
@@ -37,13 +42,13 @@ from .matrices import PolyMatrix, matrix_to_json
 from .poly import (
     Context,
     Poly,
+    coprime_on_line,
     divide_exact,
     poly_product,
     poly_to_str,
     product_squarefree,
     sample_ints,
     squarefree_gcd,
-    squarefree_on_line,
 )
 
 
@@ -89,6 +94,27 @@ _POINT_BOUND = 97
 _POINT_TRIES = 4
 
 
+def _degree_bound(matrix: PolyMatrix) -> int:
+    """A bound on the total degree of every term of det(matrix): the smaller
+    of the sum over columns and the sum over rows of the largest entry degree."""
+    degs = [[0 if a.is_zero() else a.total_degree() for a in row] for row in matrix.rows]
+    return min(sum(max(col) for col in zip(*degs)), sum(max(row) for row in degs))
+
+
+def _ratio_at_point(matrix: PolyMatrix, g: Poly) -> Fraction | None:
+    """det(matrix)(p) / g(p) at the first candidate point p with g(p) != 0.
+
+    None when no candidate has g(p) != 0 or the determinant vanishes there.
+    """
+    for salt in range(_POINT_TRIES):
+        point = sample_ints(g.ctx.nvars, _POINT_BOUND, salt)
+        at_g = g.evaluate(point)
+        if at_g:
+            at_det = fraction_det([[a.evaluate(point) for a in row] for row in matrix.rows])
+            return at_det / at_g if at_det else None
+    return None
+
+
 def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix) -> Fraction | None:
     """c with det A = c * f for a reduced f and logarithmic columns, or None.
 
@@ -97,17 +123,9 @@ def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix) -> Fraction | None:
     and c = det A(p) / f(p) at any point with f(p) != 0.  None when the bound
     fails, no candidate point has f(p) != 0, or c = 0.
     """
-    degs = [[0 if a.is_zero() else a.total_degree() for a in row] for row in matrix.rows]
-    bound = min(sum(max(col) for col in zip(*degs)), sum(max(row) for row in degs))
-    if bound > f.total_degree():
+    if _degree_bound(matrix) > f.total_degree():
         return None
-    for salt in range(_POINT_TRIES):
-        point = sample_ints(f.ctx.nvars, _POINT_BOUND, salt)
-        at_f = f.evaluate(point)
-        if at_f:
-            at_det = fraction_det([[a.evaluate(point) for a in row] for row in matrix.rows])
-            return at_det / at_f if at_det else None
-    return None
+    return _ratio_at_point(matrix, f)
 
 
 def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
@@ -198,16 +216,22 @@ def frame_divisor(factors: Sequence[Poly], matrix: PolyMatrix,
     if not factors:
         raise PreconditionError("at least one factor required")
     product = poly_product(factors[0].ctx, factors)
-    if not squarefree_on_line(product):
-        # exact factor-wise pass: names the offending factor or pairwise gcd
+    try:
+        cert = verify_saito(product, matrix)
+    except (PreconditionError, VerificationError) as e:
+        # verify_saito proves the product squarefree before any check but its
+        # preconditions; the factor-wise pass names the offending factor or
+        # pairwise gcd, and takes precedence as the first check of the frame
+        if isinstance(e, VerificationError) and e.kind != "not_squarefree":
+            raise
         ok, offender = product_squarefree(factors)
         if not ok:
             raise VerificationError(
                 "not_squarefree",
                 f"factor list is not squarefree/coprime; witness {poly_to_str(offender)}",
                 witness=offender,
-            )
-    cert = verify_saito(product, matrix)
+            ) from None
+        raise
     if len(factors) == 1:  # the product is the factor: its quotients are the table
         table = [(q,) for q in cert.log_quotients]
     else:
@@ -317,12 +341,45 @@ class HilbertBurch:
     scalar: Fraction
 
 
+def _minors_scalar_by_lemma(matrix: PolyMatrix, f: Poly) -> Fraction | None:
+    """lam with signed maximal minors m of the n x (n-1) matrix B equal to
+    lam * grad f, read at one point, or None.
+
+    Laplace expansion gives B^T m = 0.  If also B^T grad f = 0 and the nonzero
+    partials have no common factor, then m = h * grad f with h a polynomial:
+    the left kernel of B has rank at most 1 over Q(x) (m = 0 when B has lower
+    rank), and grad f is primitive (Hilbert-Burch; D. Eisenbud, Commutative
+    Algebra, Thm. 20.15).  If for some i with df/dx_i != 0 the degree bound of
+    B without row i is at most deg df/dx_i, then h is a constant, read as
+    m_i(p) / (df/dx_i)(p).  None when a step fails, no candidate point has
+    (df/dx_i)(p) != 0, or lam = 0.
+    """
+    grad = f.gradient()
+    row = next((i for i, g in enumerate(grad) if not g.is_zero()
+                and _degree_bound(matrix.drop_row(i)) <= g.total_degree()), None)
+    if row is None:
+        return None
+    if any(not v.is_zero() for v in matrix.left_apply(grad)):
+        return None
+    if not coprime_on_line([g for g in grad if not g.is_zero()]):
+        return None
+    lam = _ratio_at_point(matrix.drop_row(row), grad[row])
+    return -lam if lam is not None and row % 2 else lam
+
+
 def minors_scalar(matrix: PolyMatrix, f: Poly) -> Fraction | None:
     """The scalar lam with signed maximal minors of the n x (n-1) matrix equal
     to lam * grad f, or None when there is none.
 
-    lam is read off the first nonzero partial derivative; None also when f has
-    no nonzero partial."""
+    The one-point certificate of _minors_scalar_by_lemma is tried first; the
+    minors themselves are expanded only when it gives no answer.  lam is then
+    read off the first nonzero partial derivative; None also when f has no
+    nonzero partial."""
+    n = f.ctx.nvars
+    if matrix.ctx == f.ctx and matrix.nrows == n and matrix.ncols == n - 1:
+        lam = _minors_scalar_by_lemma(matrix, f)
+        if lam is not None:
+            return lam
     minors = matrix.signed_maximal_minors()
     grad = f.gradient()
     g0 = next((i for i, g in enumerate(grad) if not g.is_zero()), None)

@@ -1,9 +1,10 @@
 """Independent oracles from sympy: its square-free decomposition for
-squarefreeness, on seeded random polynomials with and without planted
-squares; its polynomial product, exact division, gcd and determinant for
-`Poly.__mul__`, `divide_exact`, `poly_gcd` and `PolyMatrix.det`; and its
-exact row reduction for rref, nullspace and solve_linear, on derandomized
-sparse and dense rational systems."""
+squarefreeness and its gcd for common factors, on seeded random polynomials
+with and without planted squares and factors; its polynomial product, exact division, gcd and determinant for
+`Poly.__mul__`, `divide_exact`, `poly_gcd` and `PolyMatrix.det`; its exact
+row reduction for rref, nullspace and solve_linear, on derandomized sparse
+and dense rational systems; and its determinant for the integer elimination
+of `fraction_det`, beside the Fraction loop that elimination replaced."""
 from __future__ import annotations
 
 import math
@@ -11,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from freediv.linalg import nullspace, rref, solve_linear
+from freediv.linalg import fraction_det, nullspace, rref, solve_linear
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
-    Context, Poly, divide_exact, normalize_primitive, poly_gcd, squarefree_gcd, squarefree_on_line,
+    Context, Poly, coprime_on_line, divide_exact, normalize_primitive, poly_gcd, squarefree_gcd,
+    squarefree_on_line,
 )
 
 from helpers import CASES, make_rng, rand_nonzero, rand_poly
@@ -79,6 +81,30 @@ def test_line_certificate_is_one_sided(planted):
         assert certified == 0
     else:
         assert certified > 0
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_coprime_certificate_is_one_sided(planted):
+    rng = make_rng(84 + planted)
+    certified = 0
+    for _ in range(max(CASES // 20, 20)):
+        polys = [rand_nonzero(rng, CTX, max_terms=3, max_deg=3) for _ in range(rng.randint(1, 4))]
+        if planted:
+            c = rand_nonzero(rng, CTX, max_terms=2, max_deg=2)
+            if c.is_constant():
+                continue
+            polys = [c * g for g in polys]
+        if coprime_on_line(polys):
+            certified += 1
+            common = to_sympy(polys[0])
+            for g in polys[1:]:
+                common = sympy.gcd(common, to_sympy(g))
+            assert common.is_ground, polys
+    if planted:
+        assert certified == 0
+    else:
+        assert certified > 0
+    assert not coprime_on_line([]) and not coprime_on_line([CTX.gens()[0], CTX.zero()])
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +261,72 @@ def test_solve_linear_agrees_with_sympy(consistent):
             assert got is None, (rows, rhs)
         seen += 1
     assert seen >= 10
+
+
+# ---------------------------------------------------------------------------
+# fraction_det against sympy and the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_fraction_det(rows) -> Fraction:
+    """The Fraction Gaussian elimination, kept as the test-only reference."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                factor = m[i][c] * inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def _square_matrices(salt: int):
+    """Derandomized rational matrices up to 12x12: the 0x0 and 1x1 cases,
+    pivots that need a row swap, singular matrices (a zero column, a
+    dependent row) and mixed denominators, dense and sparse."""
+    rng = make_rng(salt)
+    F = Fraction
+    out = [[], [[F(0)]], [[F(-7, 3)]], [[F(0), F(1)], [F(1), F(0)]],
+           [[F(0), F(2), F(1)], [F(0), F(1, 2), F(3)], [F(5, 7), F(1), F(1)]],
+           [[F(1), F(2)], [F(1, 2), F(1)]]]
+    while len(out) < max(CASES // 25, 40):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [[F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7, 12))) if rng.random() < density
+                 else F(0) for _ in range(n)] for _ in range(n)]
+        kind = rng.random()
+        if kind < 0.2 and n > 1:  # a dependent row: singular
+            a, b = rng.sample(range(n), 2)
+            c = F(rng.randint(-3, 3), rng.randint(1, 4))
+            rows[b] = [c * x for x in rows[a]]
+        elif kind < 0.3:  # a zero column: singular
+            j = rng.randrange(n)
+            for r in rows:
+                r[j] = F(0)
+        elif kind < 0.5 and n > 1:  # a zero leading entry: the first pivot needs a swap
+            rows[0][0] = F(0)
+        out.append(rows)
+    return out
+
+
+def test_fraction_det_agrees_with_sympy():
+    singular = swapped = 0
+    for rows in _square_matrices(120):
+        expected = sympy.Matrix(rows).det() if rows else sympy.Integer(1)
+        got = fraction_det(rows)
+        assert type(got) is Fraction
+        assert got == Fraction(int(expected.p), int(expected.q)), rows
+        assert got == ref_fraction_det(rows), rows
+        singular += got == 0
+        swapped += bool(rows) and rows[0][0] == 0 and got != 0
+    assert singular >= 5 and swapped >= 3
+    assert fraction_det([[1, 2], [3, 4]]) == -2  # integer entries are accepted

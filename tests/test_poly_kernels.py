@@ -1,6 +1,6 @@
-"""The integer kernels of `Poly.__mul__`, `divide_exact` and `Poly.evaluate`,
-and the one-dict sums of `Context.sum`, against the term-by-term Fraction
-loops they replaced, kept here as the reference: same terms, same values and,
+"""The integer kernels of `Poly.__mul__`, `divide_exact`, `Poly.evaluate` and
+`Poly.weighted_degree`, and the one-dict sums of `Context.sum`, against the
+term-by-term Fraction loops they replaced, kept here as the reference: same terms, same values and,
 for products and sums, the same term order."""
 from __future__ import annotations
 
@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freediv.matrices import PolyMatrix
-from freediv.poly import Context, Poly, PolyError, _exp_div, divide_exact, grevlex_key, star, substitute
+from freediv.poly import (
+    Context, NotHomogeneousError, Poly, PolyError, _exp_div, divide_exact, grevlex_key, star, substitute,
+)
 
 # ---------------------------------------------------------------------------
 # the reference loops: every coefficient a Fraction, every step a Fraction op
@@ -140,6 +142,20 @@ def ref_matmul(a: PolyMatrix, b: PolyMatrix) -> list[list[Poly]]:
             row.append(s)
         out.append(row)
     return out
+
+
+def ref_weighted_degree(p: Poly, weights) -> Fraction:
+    w = [Fraction(x) for x in weights]
+    if len(w) != p.ctx.nvars:
+        raise PolyError("weight vector length mismatch")
+    if p.is_zero():
+        raise PolyError("the zero polynomial has no degree")
+    degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in p.terms}
+    if len(degs) != 1:
+        raise NotHomogeneousError(
+            f"not homogeneous for weights {tuple(map(str, w))}: degrees {sorted(map(str, degs))}"
+        )
+    return degs.pop()
 
 
 def same(p: Poly, q: Poly) -> bool:
@@ -358,3 +374,45 @@ def test_sums_agree_with_the_reference_fold(data):
     product = m @ other
     for row, expected_row in zip(product.rows, ref_matmul(m, other), strict=True):
         assert all(map(same, row, expected_row)) and len(row) == len(expected_row)
+
+
+_WEIGHT = st.one_of(st.integers(-3, 5), st.builds(Fraction, st.integers(-7, 9), st.sampled_from([1, 2, 3, 4, 6, 35])))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except PolyError as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_weighted_degree_agrees_with_the_reference_loop(data):
+    nvars = data.draw(st.integers(0, 4))
+    (p,) = data.draw(_polys(nvars, 1, _SMALL_EXP))
+    if data.draw(st.booleans()) and not p.is_zero():
+        # a homogeneous polynomial for the weights most of the time
+        w = data.draw(st.lists(_WEIGHT, min_size=nvars, max_size=nvars))
+        target = Fraction(sum(Fraction(x) * k for x, k in zip(w, next(iter(p.terms)))))
+        p = Poly(p.ctx, {e: c for e, c in p.terms.items()
+                         if sum(Fraction(x) * k for x, k in zip(w, e)) == target})
+    else:
+        w = data.draw(st.lists(_WEIGHT, min_size=nvars, max_size=nvars))
+    kind, got = _outcome(p.weighted_degree, w)
+    assert (kind, got) == _outcome(ref_weighted_degree, p, w)
+    if kind == "value":
+        assert type(got) is Fraction
+        assert p.is_homogeneous(w)
+    else:
+        assert p.is_zero() or not p.is_homogeneous(w)
+
+
+def test_weighted_degree_message_sorts_the_fraction_strings():
+    p = X * X + Y.scale(3) + XY.const(1)
+    w = (Fraction(1, 2), Fraction(5, 3))
+    with pytest.raises(NotHomogeneousError) as ei:
+        p.weighted_degree(w)
+    assert str(ei.value) == "not homogeneous for weights ('1/2', '5/3'): degrees ['0', '1', '5/3']"
+    assert str(ei.value) == _outcome(ref_weighted_degree, p, w)[1]
+    assert (X * Y.scale(7)).weighted_degree((Fraction(1, 6), Fraction(-1, 4))) == Fraction(-1, 12)

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import freediv.families
 import freediv.poly
 import freediv.saito
 from freediv.cli import _matrix_entries, _parse_matrix
-from freediv.families import brieskorn_seed
+from freediv.families import brieskorn_seed, multi_jet_extend
 from freediv.matrices import PolyMatrix
 from freediv.poly import Context, NotHomogeneousError, divide_exact, parse_poly, sample_ints
 from freediv.saito import (
@@ -313,6 +314,20 @@ def test_single_factor_frame_reuses_the_certificate_quotients(monkeypatch):
     assert fd.multipliers == tuple((q,) for q in fd.certificate.log_quotients)
 
 
+def test_brieskorn_seed_runs_the_line_certificate_once(monkeypatch):
+    calls = []
+    on_line = freediv.poly.squarefree_on_line
+
+    def counting(f):
+        calls.append(f)
+        return on_line(f)
+
+    for module in (freediv.poly, freediv.saito, freediv.families):
+        monkeypatch.setattr(module, "squarefree_on_line", counting, raising=False)
+    fd = brieskorn_seed(2, 3)
+    assert calls == [fd.product]
+
+
 # ---------------------------------------------------------------------------
 # euler_frame and Hilbert-Burch
 # ---------------------------------------------------------------------------
@@ -390,6 +405,129 @@ def test_minors_scalar():
     assert minors_scalar(M([["x"], ["y"]], ctx), f) is None
     assert minors_scalar(M([["x^2"], ["x*y"]], ctx), f) is None
     assert minors_scalar(M([["0"], ["0"]], ctx), f) == 0
+
+
+# ---------------------------------------------------------------------------
+# minors_scalar: the one-point lemma and its fallback to the full minors
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def minors_calls(monkeypatch):
+    """Count full expansions of the signed maximal minors."""
+    calls = []
+    minors = PolyMatrix.signed_maximal_minors
+
+    def counting(self):
+        calls.append(self.nrows)
+        return minors(self)
+
+    monkeypatch.setattr(PolyMatrix, "signed_maximal_minors", counting)
+    return calls
+
+
+def full_minors_scalar(monkeypatch, b, f):
+    """minors_scalar with the lemma switched off: the full minors only."""
+    with monkeypatch.context() as m:
+        m.setattr(freediv.saito, "_minors_scalar_by_lemma", lambda b, f: None)
+        return minors_scalar(b, f)
+
+
+def agrees_with_the_minors(b, f, lam) -> bool:
+    minors = PolyMatrix.signed_maximal_minors(b)
+    if lam is not None:
+        return minors == [g.scale(lam) for g in f.gradient()]
+    g0 = next(i for i, g in enumerate(f.gradient()) if not g.is_zero())
+    q = divide_exact(minors[g0], f.gradient()[g0])
+    return q is None or not q.is_constant() or minors != [g.scale(q.constant_value())
+                                                          for g in f.gradient()]
+
+
+def test_strict_frame_minors_take_no_determinant(det_calls, minors_calls):
+    ctx, f = normal_crossing(3)
+    fd = euler_frame(f, [1, 1, 1], PolyMatrix.diagonal([ctx.var(n) for n in ctx.names]))
+    hb = hilbert_burch_from_framed(fd)
+    assert minors_scalar(hb.matrix, f) == 1
+    assert minors_calls == []
+    assert [n for n in det_calls if n] == []
+    cert = multi_jet_extend(f, hb, (1, 1, 1), 2)
+    assert minors_calls == []
+    assert [n for n in det_calls if n] == []
+    assert cert.divisor.ctx.nvars == 9
+
+
+@pytest.mark.parametrize("names, f, rows, expected", [
+    # rank-deficient: both columns annihilate grad f, every minor is 0
+    ("xyz", "x*y*z", [["x", "2*x"], ["-y", "-2*y"], ["0", "0"]], 0),
+    # the partials 2*x*y and x^2 share the factor x: m = (-1/x) * grad f
+    ("xy", "x^2*y", [["x"], ["-2*y"]], None),
+    # the degree bound 2 exceeds deg df/dx_i = 1 on both rows: m = -x * grad f
+    ("xy", "x*y", [["x^2"], ["-x*y"]], None),
+    # B^T grad f = 2*x*y is not zero
+    ("xy", "x*y", [["x"], ["y"]], None),
+])
+def test_minors_lemma_falls_back_to_the_full_minors(monkeypatch, minors_calls, names, f, rows, expected):
+    ctx = Context(list(names))
+    f, b = parse_poly(f, ctx), M(rows, ctx)
+    assert freediv.saito._minors_scalar_by_lemma(b, f) is None
+    lam = minors_scalar(b, f)
+    assert minors_calls == [b.nrows]
+    assert lam == expected
+    assert lam == full_minors_scalar(monkeypatch, b, f)
+    assert agrees_with_the_minors(b, f, lam)
+
+
+def test_minors_lemma_reads_the_scalar(minors_calls):
+    ctx = Context(["x", "y"])
+    assert minors_scalar(M([["-2*x"], ["2*y"]], ctx), parse_poly("x*y", ctx)) == 2
+    assert minors_scalar(M([["1/2*x"], ["-1/2*y"]], ctx), parse_poly("x*y", ctx)) == Fraction(-1, 2)
+    one = Context(["x"])
+    assert minors_scalar(PolyMatrix(one, [[]]), parse_poly("3*x", one)) == Fraction(1, 3)
+    # df/dx = 0: the scalar is read on row 1, whose minor carries the sign -1
+    assert minors_scalar(M([["1", "0"], ["0", "y"], ["0", "-z"]]), P("y*z")) == 1
+    assert minors_scalar(M([["2", "0"], ["0", "y"], ["0", "-z"]]), P("y*z")) == 2
+    assert minors_calls == []
+
+
+def test_minors_lemma_agrees_with_the_full_minors(monkeypatch):
+    # column operations B @ U keep B^T grad f = 0 and scale the minors by
+    # det U: constant U keep the lemma's degree bound, polynomial ones may not
+    rng = make_rng(140)
+    bases = []
+    for n in (2, 3, 4):
+        ctx, f = normal_crossing(n)
+        fd = euler_frame(f, [1] * n, PolyMatrix.diagonal([ctx.var(nm) for nm in ctx.names]))
+        bases.append((f, hilbert_burch_from_framed(fd).matrix))
+    f = P("x^2*y - y^2*z")
+    fd = euler_frame(f, [1, 1, 1], M([["0", "x", "y"], ["y", "-2*y", "0"], ["-z", "4*z", "2*x"]]))
+    bases.append((f, hilbert_burch_from_framed(fd).matrix))
+    by_lemma = fallback = 0
+    for _ in range(40):
+        f, b = bases[rng.randrange(len(bases))]
+        ctx, k = f.ctx, b.ncols
+        u = [[ctx.const(F(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(k)]
+             for _ in range(k)]
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            u[i][j] = u[i][j] + ctx.var(rng.choice(ctx.names)) * ctx.var(rng.choice(ctx.names))
+        bu = b @ PolyMatrix(ctx, u)
+        lam = minors_scalar(bu, f)
+        assert lam == full_minors_scalar(monkeypatch, bu, f)
+        assert agrees_with_the_minors(bu, f, lam)
+        if freediv.saito._minors_scalar_by_lemma(bu, f) is None:
+            fallback += 1
+        else:
+            by_lemma += 1
+    assert by_lemma >= 10 and fallback >= 5
+
+
+def test_wrong_declared_scalar_fails_the_jet_revalidation():
+    ctx, f = normal_crossing(3)
+    fd = euler_frame(f, [1, 1, 1], PolyMatrix.diagonal([ctx.var(n) for n in ctx.names]))
+    hb = hilbert_burch_from_framed(fd)
+    for scalar in (F(2), F(0), F(-1)):
+        with pytest.raises(PreconditionError, match="re-validation"):
+            multi_jet_extend(f, HilbertBurch(f, hb.matrix, scalar), (1, 1, 1), 1)
 
 
 def test_hilbert_burch_requires_strict_frame():
