@@ -36,7 +36,6 @@ from .poly import (
     Poly,
     deg_shift_inverse,
     divide_exact,
-    grevlex_key,
     is_integer,
     normalize_primitive,
     poly_gcd,
@@ -284,7 +283,7 @@ def is_free_binomial(F: Poly) -> FamilyVerdict:
         )
     ctx = F.ctx
     e1, e2 = F.support()
-    c1, c2 = F.terms[e1], F.terms[e2]
+    c1, c2 = F.coeff(e1), F.coeff(e2)
     l_exp = tuple(min(p, q) for p, q in zip(e1, e2))
     m_exp = tuple(p - q for p, q in zip(e1, l_exp))
     n_exp = tuple(p - q for p, q in zip(e2, l_exp))
@@ -406,7 +405,7 @@ def _euler3_case_one_zero(
     g_terms: dict[tuple[int, ...], Fraction] = {}
     h_terms: dict[tuple[int, ...], Fraction] = {}
     bad: dict[tuple[int, ...], Fraction] = {}
-    for exp, coef in fx.terms.items():
+    for exp, coef in fx.items():
         if exp[1] >= 1:
             g_terms[(exp[0], exp[1] - 1, exp[2])] = coef
         elif exp[2] >= 1:
@@ -713,8 +712,7 @@ class CommonFactorError(VerificationError):
 def _normalize_witness(p: Poly) -> Poly:
     """Primitive representative with positive trailing (grevlex-least) coefficient."""
     p = normalize_primitive(p)
-    tail = min(p.terms, key=grevlex_key)
-    if p.terms[tail] < 0:
+    if p.coeff(p.support()[-1]) < 0:
         p = p.scale(-1)
     return p
 
@@ -928,7 +926,7 @@ def normal_crossing_matrix(f: Poly) -> PolyMatrix | None:
     """Diagonal matrix certifying a scaled squarefree monomial, else None."""
     if f.is_zero() or f.is_constant() or f.num_terms() != 1:
         return None
-    exp = next(iter(f.terms))
+    exp = f.lead_exponent()
     if any(v > 1 for v in exp):
         return None
     ctx = f.ctx

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 from typing import Sequence
 
 from .matrices import PolyMatrix
@@ -34,6 +34,7 @@ from .poly import (
     Context,
     Poly,
     PolyError,
+    _integer_form,
     deg_shift_inverse,
     grevlex_key,
 )
@@ -125,10 +126,9 @@ def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     den = 1
     m = []
     for r in rows:
-        r = [x if type(x) is Fraction else Fraction(x) for x in r]
-        d = lcm(*(x.denominator for x in r))
+        d, nums = _integer_form(r)
         den *= d
-        m.append([x.numerator * (d // x.denominator) for x in r])
+        m.append(nums)
     n = len(m)
     sign, prev = 1, 1
     for c in range(n):
@@ -149,17 +149,11 @@ def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def _normalize_integer_vector(v: Vec) -> Vec:
     """Clear denominators, divide by content, make the first nonzero entry positive."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    ints = [x * den for x in v]
-    g = 0
-    for x in ints:
-        g = int_gcd(g, int(x))
+    ints = _integer_form(v)[1]
+    g = int_gcd(*ints)
     if g:
-        ints = [x / g for x in ints]
-    lead = next((x for x in ints if x != 0), None)
-    if lead is not None and lead < 0:
+        ints = [x // g for x in ints]
+    if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
     return [Fraction(x) for x in ints]
 
@@ -192,20 +186,6 @@ def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: i
     return particular, basis
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Deterministic basis of the right kernel.
-
-    One basis vector per free column (in column order), normalized to integer
-    entries with content 1 and positive first nonzero entry.
-    """
-    rows = list(rows)
-    if ncols is None:
-        if not rows:
-            raise ValueError("nullspace of an empty system needs ncols")
-        ncols = len(rows[0])
-    return _solve(rows, [Fraction(0)] * len(rows), ncols)[1]
-
-
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
     """One exact solution of A x = b (free variables set to zero), or None."""
     rows = list(rows)
@@ -225,14 +205,6 @@ class AnnihilatorSpace:
 
     basis: tuple[tuple[Fraction, ...], ...]
     unit_degree_field: tuple[Fraction, ...] | None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    @property
-    def admits_nonzero_degree(self) -> bool:
-        return self.unit_degree_field is not None
 
 
 def euler_annihilators(f: Poly) -> AnnihilatorSpace:
@@ -269,16 +241,16 @@ def _coefficient_system(
     index: dict[tuple[int, tuple], int] = {}
     for vec in list(columns) + [target]:
         for k, p in enumerate(vec):
-            for e in p.terms:
+            for e, _ in p.items():
                 index.setdefault((k, e), len(index))
     rows = [[Fraction(0)] * len(columns) for _ in range(len(index))]
     for j, vec in enumerate(columns):
         for k, p in enumerate(vec):
-            for e, c in p.terms.items():
+            for e, c in p.items():
                 rows[index[(k, e)]][j] = c
     rhs = [Fraction(0)] * len(index)
     for k, p in enumerate(target):
-        for e, c in p.terms.items():
+        for e, c in p.items():
             rhs[index[(k, e)]] = c
     return rows, rhs
 
@@ -458,7 +430,7 @@ def koszul_homotopy_1cycle(omega: Sequence[Poly], a: Sequence, d=1):
     for i in range(n):
         if i in w_set:
             continue
-        for e in omega[i].terms:
+        for e in omega[i].support():
             if not any(e[j] for j in w_idx):
                 return None
     # shift: weighted components carry the form-degree contribution d, while

@@ -156,7 +156,7 @@ class PolyMatrix:
             best = None
             for r in range(k, n):
                 p = M[r][k]
-                if not p.is_zero() and (best is None or len(p.terms) < len(M[best][k].terms)):
+                if not p.is_zero() and (best is None or p.num_terms() < M[best][k].num_terms()):
                     best = r
             if best is None:
                 return self.ctx.zero()

@@ -246,15 +246,11 @@ def monomial_graded_membership(A: Sequence, f: Poly) -> bool:
 
 
 def _linear_form_coefficients(ell: Poly) -> list[Fraction]:
-    ctx = ell.ctx
     if ell.is_zero() or not ell.is_homogeneous() or ell.total_degree() != 1:
         raise PreconditionError(
             f"{poly_to_str(ell)} is not a homogeneous linear form"
         )
-    coeffs = [Fraction(0)] * ctx.nvars
-    for e, c in ell.terms.items():
-        coeffs[e.index(1)] = c
-    return coeffs
+    return [d.constant_value() for d in ell.gradient()]
 
 
 def smooth_times_nc_verdict(

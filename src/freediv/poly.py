@@ -5,23 +5,31 @@ coefficients, attached to a Context that fixes the ordered variable names.
 Term order, where one is needed, is graded reverse lexicographic.  Every
 operation is exact; nothing here ever rounds.
 
-Coefficients are stored as Fractions, but products, exact quotients and
-evaluations run on integers inside their loops: a product multiplies integer
-numerators over each operand's common denominator, on exponents packed into
-one int; exact division divides integer numerators by the primitive integer
-form of the divisor, in one remainder updated in place; evaluation sums
-integer numerators over the common denominator, and weighted degrees sum
-exponents times the weights scaled by the lcm of their denominators.  Each
-builds Fractions only for what it returns.  Every sum of polynomials, `+` included, is
-Context.sum: the terms accumulate in one dict, not in a copy per addition.
+Coefficients are stored as Fractions, but products, exact quotients,
+evaluations and the line certificate run on integers inside their loops, and
+all of them take one integer form: _integer_form(values) is (den, nums) with
+den the lcm of the denominators and values[i] == nums[i] / den, and it is the
+only code that reads a numerator or a denominator.  A product multiplies
+integer numerators over each operand's common denominator, on exponents
+packed into one int; exact division divides integer numerators by the
+primitive integer form of the divisor, in one remainder updated in place;
+evaluation sums integer numerators over the common denominator; the line
+certificate evaluates the numerators mod a prime; weighted degrees sum
+exponents times the weights in integer form.  Each builds Fractions only for
+what it returns.  Every sum of polynomials, `+` included, is Context.sum: the
+terms accumulate in one dict, not in a copy per addition.
+
+This module is the only one that reads Poly.terms; the rest of freediv goes
+through Poly's methods (items, coeff, support, lead_exponent, num_terms), so
+the stored form can change here alone.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
-from operator import add, lshift, mul
-from typing import Callable, Iterable, Sequence
+from math import gcd as int_gcd, lcm, prod
+from operator import add, getitem, lshift, mul
+from typing import Callable, Collection, Iterable, Sequence
 
 Exponent = tuple[int, ...]
 Scalar = Fraction  # all coefficients are Fractions internally
@@ -36,6 +44,13 @@ class PolyError(Exception):
 def is_integer(v) -> bool:
     """An int that is not a bool: True would be read as the exponent 1."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer_form(values: Collection[Fraction | int]) -> tuple[int, list[int]]:
+    """(den, nums) with den the lcm of the denominators of the values (ints
+    or Fractions) and values[i] == nums[i] / den; (1, []) for no values."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class ParseError(PolyError):
@@ -221,6 +236,10 @@ class Poly:
         """Exponents in descending term order (deterministic)."""
         return sorted(self.terms, key=grevlex_key, reverse=True)
 
+    def items(self) -> Iterable[tuple[Exponent, Fraction]]:
+        """The (exponent, coefficient) pairs in storage order."""
+        return self.terms.items()
+
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Poly | None":
@@ -326,28 +345,23 @@ class Poly:
     def gradient(self) -> tuple["Poly", ...]:
         return tuple(self.derivative(i) for i in range(self.ctx.nvars))
 
-    def evaluate(self, point: Sequence, modulus: int | None = None):
-        """Value at a point: an exact Fraction, or with `modulus` the value in
-        Z/modulus as an int (then every coefficient must be an integer)."""
+    def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at a point."""
         if len(point) != self.ctx.nvars:
             raise PolyError(f"{self.ctx.nvars} coordinates required, got {len(point)}")
         # the value is (sum of integer numerator * monomial value) / den
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        if modulus is not None and den != 1:
-            raise PolyError("modular evaluation needs integer coefficients")
+        den, nums = _integer_form(self.terms.values())
         powers: list[dict[int, object]] = [{} for _ in point]
         total = 0
-        for e, c in self.terms.items():
-            m = c.numerator * (den // c.denominator)
+        for e, m in zip(self.terms, nums):
             for i, k in enumerate(e):
                 if k:
                     pw = powers[i].get(k)
                     if pw is None:
-                        pw = point[i] ** k if modulus is None else pow(point[i], k, modulus)
-                        powers[i][k] = pw
+                        pw = powers[i][k] = point[i] ** k
                     m = m * pw
-            total += m if modulus is None else m % modulus
-        return Fraction(total, den) if modulus is None else total % modulus
+            total += m
+        return Fraction(total, den)
 
     def _weights(self, weights: Sequence) -> list[Fraction]:
         """The weight vector as Fractions, one per variable."""
@@ -365,8 +379,7 @@ class Poly:
         """The distinct degrees of the terms under the weights w, each as an
         integer numerator over the lcm of the weights' denominators, and that
         lcm."""
-        den = lcm(*(x.denominator for x in w))
-        iw = [x.numerator * (den // x.denominator) for x in w]
+        den, iw = _integer_form(w)
         return {sum(map(mul, iw, e)) for e in self.terms}, den
 
     def weighted_degree(self, weights: Sequence) -> Fraction:
@@ -450,14 +463,13 @@ def _mul_packed(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dic
         mask = (1 << width) - 1
         def pack(e): return sum(map(lshift, e, shifts))
         def unpack(k): return tuple((k >> s) & mask for s in shifts)
-    da = lcm(*(c.denominator for c in a.values()))
-    db = lcm(*(c.denominator for c in b.values()))
-    bs = [(pack(e), c.numerator * (db // c.denominator)) for e, c in b.items()]
+    da, nas = _integer_form(a.values())
+    db, nbs = _integer_form(b.values())
+    bs = list(zip(map(pack, b), nbs))
     acc: dict[int, int] = {}
     get = acc.get
-    for e, c in a.items():
+    for e, va in zip(a, nas):
         ka = pack(e)
-        va = c.numerator * (da // c.denominator)
         for kb, vb in bs:
             k = ka + kb
             v = get(k, 0) + va * vb
@@ -494,13 +506,12 @@ def divide_exact(g: Poly, f: Poly) -> Poly | None:
     if g.is_zero():
         return g.ctx.zero()
     lf = f.lead_exponent()
-    den_f = lcm(*(c.denominator for c in f.terms.values()))
-    fs = {e: c.numerator * (den_f // c.denominator) for e, c in f.terms.items()}
-    content = int_gcd(*fs.values())
-    fs = {e: v // content for e, v in fs.items()}
+    den_f, nf = _integer_form(f.terms.values())
+    content = int_gcd(*nf)
+    fs = {e: v // content for e, v in zip(f.terms, nf)}
     lead = fs[lf]
-    den_g = lcm(*(c.denominator for c in g.terms.values()))
-    r = {e: c.numerator * (den_g // c.denominator) for e, c in g.terms.items()}
+    den_g, ng = _integer_form(g.terms.values())
+    r = dict(zip(g.terms, ng))
     get = r.get
     q: dict[Exponent, int] = {}
     while r:
@@ -528,12 +539,8 @@ def normalize_primitive(p: Poly) -> Poly:
     """Scale to integer coefficients with content 1 and positive leading coefficient."""
     if p.is_zero():
         return p
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    scale = Fraction(den, num)
+    den, nums = _integer_form(p.terms.values())
+    scale = Fraction(den, int_gcd(*nums))
     if p.lead_coeff() < 0:
         scale = -scale
     return p.scale(scale)
@@ -751,10 +758,21 @@ def _on_line(f: Poly) -> list[int] | None:
     p = LINE_PRIME
     n = f.ctx.nvars
     d = f.total_degree()
-    F = f.scale(lcm(*(c.denominator for c in f.terms.values())))
+    nums = [c % p for c in _integer_form(f.terms.values())[1]]
     line = sample_ints(2 * n, p - 1)
     a, b = line[:n], line[n:]
-    values = [F.evaluate([(x + t * y) % p for x, y in zip(a, b)], p) for t in range(d + 1)]
+    tops = [max(col) for col in zip(*f.terms)]
+    values = []
+    for t in range(d + 1):
+        powers = []
+        for x, y, top in zip(a, b, tops):
+            x = (x + t * y) % p
+            pw = [1]
+            for _ in range(top):
+                pw.append(pw[-1] * x % p)
+            powers.append(pw)
+        values.append(sum(prod(map(getitem, powers, e), start=c)
+                          for e, c in zip(f.terms, nums)) % p)
     u = _interpolate_mod(values, p)
     return u if u[d] else None
 

@@ -465,7 +465,10 @@ def free_multiple_via_xifi(f: Poly, bound: int = 1) -> SaitoCertificate:
 
     All (n-1)-subsets of the syzygy basis are tried in deterministic order;
     the first verified certificate wins.  Raises VerificationError when no
-    subset passes (larger bounds may still succeed).
+    subset passes (larger bounds may still succeed).  The product
+    x_1...x_n f is the same for every subset, so verify_saito's not_squarefree
+    error on the first subset is raised as it is.  That error is about the
+    product, not about f: for the squarefree f = x*y*z its witness is x*y*z.
     """
     gens = xifi_generators(f)
     n = f.ctx.nvars
@@ -484,6 +487,8 @@ def free_multiple_via_xifi(f: Poly, bound: int = 1) -> SaitoCertificate:
         try:
             return saito_from_xifi(f, mat)
         except VerificationError as e:
+            if e.kind == "not_squarefree":
+                raise
             last_error = e
     raise VerificationError(
         "xifi_search",

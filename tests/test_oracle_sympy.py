@@ -2,7 +2,7 @@
 squarefreeness and its gcd for common factors, on seeded random polynomials
 with and without planted squares and factors; its polynomial product, exact division, gcd and determinant for
 `Poly.__mul__`, `divide_exact`, `poly_gcd` and `PolyMatrix.det`; its exact
-row reduction for rref, nullspace and solve_linear, on derandomized sparse
+row reduction for rref, the kernel basis of `_solve` and solve_linear, on derandomized sparse
 and dense rational systems; and its determinant for the integer elimination
 of `fraction_det`, beside the Fraction loop that elimination replaced."""
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from freediv.linalg import fraction_det, nullspace, rref, solve_linear
+from freediv.linalg import _solve, fraction_det, rref, solve_linear
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
     Context, Poly, coprime_on_line, divide_exact, normalize_primitive, poly_gcd, squarefree_gcd,
@@ -172,7 +172,7 @@ def test_det_agrees_with_sympy():
 
 
 # ---------------------------------------------------------------------------
-# exact row reduction: rref, nullspace and solve_linear against sympy
+# exact row reduction: rref, the kernel basis and solve_linear against sympy
 # ---------------------------------------------------------------------------
 
 
@@ -230,7 +230,7 @@ def test_nullspace_agrees_with_sympy():
     for rows in _systems(91):
         ncols = len(rows[0]) if rows else 3
         m = sympy.Matrix(rows) if rows else sympy.zeros(0, ncols)
-        assert nullspace(rows, ncols) == [_normalized(v) for v in m.nullspace()], rows
+        assert _solve(rows, [0] * len(rows), ncols)[1] == [_normalized(v) for v in m.nullspace()], rows
 
 
 @pytest.mark.parametrize("consistent", [True, False])

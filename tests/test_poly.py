@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -388,9 +387,6 @@ def test_evaluate_oracles():
     assert f.evaluate([2, 3, Fraction(1, 3)]) == Fraction(10)
     assert f.evaluate([Fraction(1, 2), 1, 0]) == Fraction(41, 8)
     assert isinstance(XYZ.const(2).evaluate([0, 0, 0]), Fraction)
-    assert P("2*x^2*y - 3*z + 5").evaluate([2, 3, 7], 101) == 2 * 4 * 3 - 21 + 5
-    with pytest.raises(PolyError):
-        f.evaluate([2, 3, 7], 101)
     with pytest.raises(PolyError):
         f.evaluate([1, 2])
 
@@ -402,9 +398,6 @@ def test_evaluate_matches_substitute_random():
         point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
         value = substitute(h, [XYZ.const(v) for v in point]).constant_value()
         assert h.evaluate(point) == value
-        H = h.scale(lcm(*(c.denominator for c in h.terms.values()), 1))
-        ints = [rng.randint(-9, 9) for _ in range(3)]
-        assert H.evaluate(ints, 10007) == H.evaluate(ints) % 10007
 
 
 def test_product_squarefree_matches_direct():

@@ -1,18 +1,24 @@
 """The integer kernels of `Poly.__mul__`, `divide_exact`, `Poly.evaluate` and
-`Poly.weighted_degree`, and the one-dict sums of `Context.sum`, against the
-term-by-term Fraction loops they replaced, kept here as the reference: same terms, same values and,
-for products and sums, the same term order."""
+`Poly.weighted_degree`, the line restriction `_on_line`, and the one-dict sums
+of `Context.sum`, against the term-by-term Fraction loops they replaced, kept
+here as the reference: same terms, same values and, for products and sums,
+the same term order.  `_integer_form`, the one conversion of rational
+coefficients to integers, against its definition."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
-    Context, NotHomogeneousError, Poly, PolyError, _exp_div, divide_exact, grevlex_key, star, substitute,
+    LINE_PRIME, Context, NotHomogeneousError, Poly, PolyError, _exp_div, _integer_form, _interpolate_mod,
+    _on_line, divide_exact, grevlex_key, parse_poly, sample_ints, star, substitute,
 )
+
+from helpers import CASES, make_rng, rand_poly
 
 # ---------------------------------------------------------------------------
 # the reference loops: every coefficient a Fraction, every step a Fraction op
@@ -69,6 +75,19 @@ def ref_evaluate(p: Poly, point, modulus=None):
         else:
             total += c.numerator * m % modulus
     return Fraction(total) if modulus is None else total % modulus
+
+
+def ref_on_line(f: Poly) -> list[int] | None:
+    """_on_line by the reference evaluation: F = den * f evaluated mod p at
+    the d + 1 line points a + t*b, interpolated, None when the degree drops."""
+    p = LINE_PRIME
+    n, d = f.ctx.nvars, f.total_degree()
+    F = f.scale(lcm(*(c.denominator for c in f.terms.values())))
+    line = sample_ints(2 * n, p - 1)
+    a, b = line[:n], line[n:]
+    u = _interpolate_mod([ref_evaluate(F, [(x + t * y) % p for x, y in zip(a, b)], p)
+                          for t in range(d + 1)], p)
+    return u if u[d] else None
 
 
 def ref_add(p: Poly, q: Poly) -> Poly:
@@ -245,11 +264,34 @@ def test_evaluate_at_a_fraction_coordinate():
     assert p.evaluate((Fraction(1, 2), 3)) == Fraction(2, 3) * Fraction(1, 4) - Fraction(3, 5) + Fraction(7, 2)
 
 
-def test_modular_evaluation_needs_integer_coefficients():
-    with pytest.raises(PolyError):
-        X.scale(Fraction(1, 2)).evaluate((1, 1), 7)
-    p = X * X.scale(5) - Y.scale(3) + XY.const(11)
-    assert p.evaluate((4, 9), 7) == ref_evaluate(p, (4, 9), 7)
+def test_on_line_agrees_with_the_reference_evaluation():
+    texts = ["2*x^2*y - 3*z + 5", "1/2*x^2*y - 3*z + 5", "-x^3 + 7/6*y*z - 1/35", "x*y*z", "4"]
+    vanishing = parse_poly("x*y + z", XYZ).scale(LINE_PRIME)  # zero mod p: no restriction
+    polys = [parse_poly(t, XYZ) for t in texts] + [vanishing, Context([]).const(Fraction(-3, 2))]
+    rng = make_rng(62)
+    polys += [rand_poly(rng, XYZ) for _ in range(CASES // 10)]
+    for f in polys:
+        if not f.is_zero():
+            assert _on_line(f) == ref_on_line(f), f
+    assert _on_line(vanishing) is None
+
+
+_VALUE = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.fractions(max_denominator=60))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(values=st.lists(_VALUE, max_size=8))
+def test_integer_form_agrees_with_its_definition(values):
+    den, nums = _integer_form(values)
+    assert type(den) is int and all(type(v) is int for v in nums)
+    assert len(nums) == len(values)
+    assert all(Fraction(v, den) == x for v, x in zip(nums, values))
+    # a common factor of den and every numerator would give a smaller den
+    assert den >= 1 and gcd(den, *nums) == 1
+
+
+def test_integer_form_of_no_values():
+    assert _integer_form([]) == (1, [])
 
 
 def test_empty_sum():
@@ -333,10 +375,8 @@ def test_kernels_agree_with_the_reference_loops(data):
     point = data.draw(st.lists(st.one_of(st.integers(-3, 3), _COEFF), min_size=nvars, max_size=nvars))
     if all(max(e, default=0) <= 255 for e in a.terms):  # 3^(2^70) does not fit in memory
         assert a.evaluate(point) == ref_evaluate(a, point)
-    ints = Poly(a.ctx, {e: Fraction(c.numerator) for e, c in a.terms.items()})
-    mod_point = [int(x) for x in point]
-    assert ints.evaluate(mod_point, 1009) == ref_evaluate(ints, mod_point, 1009)
-
+    if small and not a.is_zero():
+        assert _on_line(a) == ref_on_line(a)
 
 
 # exponents in 0..2 collide often, so sums cancel and terms come back

@@ -562,6 +562,20 @@ def test_free_multiple_symmetric_quadric():
     assert cert.det_scalar != 0
 
 
+def test_free_multiple_stops_at_a_repeated_factor(monkeypatch):
+    # x*y*z * f does not depend on the syzygy subset, so the first
+    # not_squarefree failure decides every subset
+    calls = []
+    verify = freediv.saito.verify_saito
+    monkeypatch.setattr(freediv.saito, "verify_saito", lambda g, m: calls.append(g) or verify(g, m))
+    with pytest.raises(VerificationError) as ei:
+        free_multiple_via_xifi(P("x*y*z"))
+    assert ei.value.kind == "not_squarefree"
+    assert str(ei.value) == "divisor has the repeated factor witness x*y*z"
+    assert ei.value.witness == P("x*y*z")
+    assert len(calls) == 1
+
+
 def test_free_multiple_reports_failure():
     ctx = Context(["x", "y"])
     # f = x^2 + y^2: x_i f_i = (2x^2, 2y^2) has no low-degree syzygies
