@@ -14,7 +14,9 @@ integer numerators over each operand's common denominator, on exponents
 packed into one int; exact division divides integer numerators by the
 primitive integer form of the divisor, in one remainder updated in place;
 evaluation sums integer numerators over the common denominator; the line
-certificate evaluates the numerators mod a prime; weighted degrees sum
+certificate evaluates the numerators mod a prime, and runs only where the
+monomial content and the term count (the support certificate of
+squarefree_gcd) leave squarefreeness open; weighted degrees sum
 exponents times the weights in integer form.  Each builds Fractions only for
 what it returns.  Every sum of polynomials, `+` included, is Context.sum: the
 terms accumulate in one dict, not in a copy per addition.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as int_gcd, lcm, prod
-from operator import add, getitem, lshift, mul
+from operator import add, getitem, lshift, mul, sub
 from typing import Callable, Collection, Iterable, Sequence
 
 Exponent = tuple[int, ...]
@@ -824,19 +826,44 @@ def coprime_on_line(polys: Sequence[Poly]) -> bool:
     return False
 
 
+def _squarefree_by_support(f: Poly) -> bool:
+    """One-sided exact test on a nonconstant f: True proves f squarefree.
+
+    Let x^l be the monomial content of f (l the componentwise minimum of its
+    exponents) and h = f / x^l.  If some l_i >= 2, x_i^2 divides f: False.
+    Otherwise x^l is squarefree and no variable divides h (each is missing
+    from some term of h), so f is squarefree iff h is.  An h of one term is a
+    constant.  An h of two terms is c1*M + c2*N with M, N monomials of
+    disjoint support, and is squarefree: were p^2 | h with p irreducible, take
+    x_i in the support of M (of N when M = 1); p divides x_i * dh/dx_i =
+    c1 * m_i * M, so p is a variable, and no variable divides h.  With three
+    or more terms the answer is squarefree_on_line(h), whose degree is that of
+    f less |l|.  False proves nothing.
+    """
+    content = [min(col) for col in zip(*f.terms)]
+    if max(content) >= 2:
+        return False
+    if len(f.terms) <= 2:
+        return True
+    h = Poly(f.ctx, {tuple(map(sub, e, content)): c for e, c in f.terms.items()})
+    return squarefree_on_line(h)
+
+
 def squarefree_gcd(f: Poly) -> Poly:
     """gcd(f, df/dx_1, ..., df/dx_n): constant exactly when f is squarefree.
 
-    A squarefree f certified by squarefree_on_line gets the constant 1, the
-    value the gcd itself takes, without any multivariate gcd.  Otherwise the
-    partials are folded in ascending size with an early exit, so the witness
-    for squarefree inputs is a constant reached as soon as possible.
+    A squarefree f certified by _squarefree_by_support (its monomial content
+    and term count, else the line certificate on f without that content) gets
+    the constant 1, the value the gcd itself takes, without any multivariate
+    gcd.  Otherwise the partials of f are folded in ascending size with an
+    early exit, so the witness for squarefree inputs is a constant reached as
+    soon as possible.
     """
     if f.is_zero():
         raise PolyError("squarefreeness of the zero polynomial is undefined")
     if f.is_constant():
         return f.ctx.const(1)
-    if squarefree_on_line(f):
+    if _squarefree_by_support(f):
         return f.ctx.const(1)
     g = f
     partials = [d for d in f.gradient() if not d.is_zero()]

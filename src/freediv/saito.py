@@ -7,17 +7,20 @@ verify_saito checks all three exactly and returns a SaitoCertificate, or
 raises VerificationError pinpointing the first violated condition, in that
 order.
 
-(i) is proved by squarefree_gcd, which first tries the one-sided line
-certificate of poly.squarefree_on_line and falls back to the multivariate gcd.
+(i) is proved by squarefree_gcd, which first tries the one-sided support
+certificate (the monomial content and the term count settle a monomial times
+a binomial), then the line certificate of poly.squarefree_on_line on f
+without its monomial content, and falls back to the multivariate gcd.
 (iii) is checked by exact division.  For (ii), Saito's lemma (K. Saito,
 "Theory of logarithmic differential forms and logarithmic vector fields",
 J. Fac. Sci. Univ. Tokyo 27, 1980, (1.8)) gives f | det A once (i) and (iii)
 hold; when in addition the degree bound min(sum_j max_i deg A_ij,
 sum_i max_j deg A_ij) is at most deg f, det A = c * f with c constant, and c
 is read exactly as det A(p) / f(p) at a fixed rational point p with
-f(p) != 0.  Otherwise (bound too large, c = 0, no such point among the fixed
-candidates, or a column not logarithmic) det A is expanded by the Bareiss /
-cofactor determinant, exactly as without the lemma.
+f(p) != 0; c = 0 proves det A = 0, a det_mismatch.  Otherwise (bound too
+large, no such point among the fixed candidates, or a column not
+logarithmic) det A is expanded by the Bareiss / cofactor determinant,
+exactly as without the lemma.
 
 minors_scalar proves a Hilbert-Burch matrix the same way: when B^T grad f = 0,
 the partials are certified coprime on the line (poly.coprime_on_line) and a
@@ -104,14 +107,13 @@ def _degree_bound(matrix: PolyMatrix) -> int:
 def _ratio_at_point(matrix: PolyMatrix, g: Poly) -> Fraction | None:
     """det(matrix)(p) / g(p) at the first candidate point p with g(p) != 0.
 
-    None when no candidate has g(p) != 0 or the determinant vanishes there.
+    None when no candidate has g(p) != 0.
     """
     for salt in range(_POINT_TRIES):
         point = sample_ints(g.ctx.nvars, _POINT_BOUND, salt)
         at_g = g.evaluate(point)
         if at_g:
-            at_det = fraction_det([[a.evaluate(point) for a in row] for row in matrix.rows])
-            return at_det / at_g if at_det else None
+            return fraction_det([[a.evaluate(point) for a in row] for row in matrix.rows]) / at_g
     return None
 
 
@@ -120,8 +122,9 @@ def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix) -> Fraction | None:
 
     Saito's lemma gives f | det A.  If every term of det A has degree at most
     deg f (the row and column degree bounds), the quotient is a constant c,
-    and c = det A(p) / f(p) at any point with f(p) != 0.  None when the bound
-    fails, no candidate point has f(p) != 0, or c = 0.
+    and c = det A(p) / f(p) at any point with f(p) != 0; c = 0 proves
+    det A = 0.  None when the bound fails or no candidate point has
+    f(p) != 0.
     """
     if _degree_bound(matrix) > f.total_degree():
         return None
@@ -156,15 +159,17 @@ def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
             break
         quotients.append(q)
     scalar = None if failed else _det_scalar_by_lemma(f, matrix)
+    det = f.ctx.zero()  # what a zero scalar proves
     if scalar is None:
         det = matrix.det()
         quotient = divide_exact(det, f)
-        if quotient is None or not quotient.is_constant() or quotient.is_zero():
-            raise VerificationError(
-                "det_mismatch",
-                f"determinant {poly_to_str(det)} is not a nonzero rational multiple of the divisor",
-            )
-        scalar = quotient.constant_value()
+        if quotient is not None and quotient.is_constant():
+            scalar = quotient.constant_value()
+    if not scalar:
+        raise VerificationError(
+            "det_mismatch",
+            f"determinant {poly_to_str(det)} is not a nonzero rational multiple of the divisor",
+        )
     if failed:
         j, applied = failed
         raise VerificationError(
@@ -364,7 +369,9 @@ def _minors_scalar_by_lemma(matrix: PolyMatrix, f: Poly) -> Fraction | None:
     if not coprime_on_line([g for g in grad if not g.is_zero()]):
         return None
     lam = _ratio_at_point(matrix.drop_row(row), grad[row])
-    return -lam if lam is not None and row % 2 else lam
+    if not lam:
+        return None
+    return -lam if row % 2 else lam
 
 
 def minors_scalar(matrix: PolyMatrix, f: Poly) -> Fraction | None:

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freediv.linalg import _solve, fraction_det, rref, solve_linear
 from freediv.matrices import PolyMatrix
@@ -105,6 +106,41 @@ def test_coprime_certificate_is_one_sided(planted):
     else:
         assert certified > 0
     assert not coprime_on_line([]) and not coprime_on_line([CTX.gens()[0], CTX.zero()])
+
+
+def ref_squarefree_fold(f: Poly) -> Poly:
+    """The gcd fold of squarefree_gcd without any certificate: f and its
+    nonzero partials, in ascending size, until the gcd is constant."""
+    g = f
+    for d in sorted((d for d in f.gradient() if not d.is_zero()), key=Poly.num_terms):
+        g = poly_gcd(g, d)
+        if g.is_constant():
+            break
+    return g
+
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(content=st.tuples(*[st.sampled_from([0, 1, 0, 1, 2])] * 4),
+       terms=st.integers(1, 4).flatmap(lambda k: st.dictionaries(
+           st.tuples(*[st.integers(0, 2)] * 4), _COEFFS, min_size=k, max_size=k)),
+       scale=_COEFFS, square=st.booleans())
+def test_support_certificate_agrees_with_sympy(content, terms, scale, square):
+    # f = c * x^l * h with h free of monomial content (one term: a constant),
+    # or its square; the 0 and 1 exponents are drawn twice as often as 2 so
+    # that the contents are squarefree about as often as not
+    low = [min(col) for col in zip(*terms)]
+    h = Poly(CTX, {tuple(a - b for a, b in zip(e, low)): c for e, c in terms.items()})
+    f = CTX.monomial(content, scale) * (h * h if square else h)
+    if f.is_constant():
+        return
+    witness = squarefree_gcd(f)
+    expected = sympy_squarefree(f)
+    assert witness.is_constant() == expected, f
+    if not expected:
+        assert witness == ref_squarefree_fold(f), f
 
 
 # ---------------------------------------------------------------------------

@@ -330,9 +330,45 @@ def test_squarefree_gcd_certified_on_the_line_runs_no_gcd(gcd_calls):
     assert gcd_calls == []
 
 
+@pytest.fixture
+def line_calls(monkeypatch):
+    calls = []
+    on_line = freediv.poly.squarefree_on_line
+    monkeypatch.setattr(freediv.poly, "squarefree_on_line", lambda f: calls.append(f) or on_line(f))
+    return calls
+
+
+def test_support_proves_one_and_two_term_divisors(gcd_calls, line_calls):
+    for text in ("x", "3*x*y*z", "x^2 - y^2", "x*y + z", "x*y*(x^3 + 2*z^5)",
+                 "x*z*(x - 1)", "y^3 - 1/2", "x*y - 1"):
+        assert squarefree_gcd(P(text)) == XYZ.const(1), text
+    assert gcd_calls == []
+    assert line_calls == []
+
+
+def test_support_sends_a_squared_content_to_the_fold(gcd_calls, line_calls):
+    # x^2 divides each f: no certificate, and the fold names the witness
+    for text in ("x^2*y", "x^2*y + x^2*z", "x^2*y^3 + x^3*z", "x^2*(x*y + y*z + 1)"):
+        assert squarefree_gcd(P(text)) == X, text
+    assert gcd_calls
+    assert line_calls == []
+
+
+def test_support_runs_the_line_certificate_on_the_cofactor(gcd_calls, line_calls):
+    assert squarefree_gcd(P("x*y*(x + y + z)")) == XYZ.const(1)
+    assert line_calls == [P("x + y + z")]
+    assert gcd_calls == []
+    # a square in the cofactor: the certificate fails and the fold runs on f
+    line_calls.clear()
+    assert squarefree_gcd(P("x*(y + z + 1)^2")) == P("y + z + 1")
+    assert line_calls == [P("(y + z + 1)^2")]
+    assert gcd_calls
+
+
 def test_content_divisible_by_the_line_prime_takes_the_gcd_path(gcd_calls):
-    # the integer multiple vanishes mod the prime, so the line certifies nothing
-    f = P("x*y + z").scale(LINE_PRIME)
+    # the integer multiple vanishes mod the prime, so the line certifies
+    # nothing; three terms and no monomial content leave the support no answer
+    f = P("x*y + z + 1").scale(LINE_PRIME)
     assert not squarefree_on_line(f)
     assert squarefree_gcd(f) == XYZ.const(1)
     assert gcd_calls

@@ -10,7 +10,7 @@ import freediv.families
 import freediv.poly
 import freediv.saito
 from freediv.cli import _matrix_entries, _parse_matrix
-from freediv.families import brieskorn_seed, multi_jet_extend
+from freediv.families import brieskorn_chain, brieskorn_seed, multi_jet_extend
 from freediv.matrices import PolyMatrix
 from freediv.poly import Context, NotHomogeneousError, divide_exact, parse_poly, sample_ints
 from freediv.saito import (
@@ -176,11 +176,22 @@ def test_high_degree_unimodular_transform_falls_back_to_bareiss(det_calls):
     assert cert.det_scalar == base.det_scalar == -2
 
 
-def test_zero_scalar_falls_back_to_the_determinant_error(det_calls):
+def test_zero_scalar_proves_the_determinant_error(det_calls):
     ctx = Context(["x", "y"])
-    # both columns logarithmic and within the degree bound, det A = 0
+    # both columns logarithmic and within the degree bound: det A(p) = 0
+    # proves det A = 0, with no polynomial determinant
     with pytest.raises(VerificationError) as ei:
         verify_saito(parse_poly("x*y", ctx), M([["x", "x"], ["0", "0"]], ctx))
+    assert ei.value.kind == "det_mismatch"
+    assert str(ei.value) == "determinant 0 is not a nonzero rational multiple of the divisor"
+    assert det_calls == []
+
+
+def test_zero_determinant_over_the_degree_bound_expands_bareiss(det_calls):
+    ctx = Context(["x", "y"])
+    # both columns logarithmic, det A = 0, but the degree bound 3 exceeds deg f
+    with pytest.raises(VerificationError) as ei:
+        verify_saito(parse_poly("x*y", ctx), M([["x^3", "x^3"], ["0", "0"]], ctx))
     assert ei.value.kind == "det_mismatch"
     assert str(ei.value) == "determinant 0 is not a nonzero rational multiple of the divisor"
     assert det_calls == [2]
@@ -314,7 +325,9 @@ def test_single_factor_frame_reuses_the_certificate_quotients(monkeypatch):
     assert fd.multipliers == tuple((q,) for q in fd.certificate.log_quotients)
 
 
-def test_brieskorn_seed_runs_the_line_certificate_once(monkeypatch):
+@pytest.fixture
+def line_calls(monkeypatch):
+    """Record the argument of every line certificate."""
     calls = []
     on_line = freediv.poly.squarefree_on_line
 
@@ -324,8 +337,20 @@ def test_brieskorn_seed_runs_the_line_certificate_once(monkeypatch):
 
     for module in (freediv.poly, freediv.saito, freediv.families):
         monkeypatch.setattr(module, "squarefree_on_line", counting, raising=False)
-    fd = brieskorn_seed(2, 3)
-    assert calls == [fd.product]
+    return calls
+
+
+def test_brieskorn_seed_runs_no_line_certificate(line_calls):
+    # the two-term product x1^2 + x2^3 is proved reduced by its support
+    brieskorn_seed(2, 3)
+    assert line_calls == []
+
+
+def test_frame_runs_the_line_certificate_once(line_calls):
+    # a five-term product without monomial content: one certificate, on it
+    fd = brieskorn_chain(2, 3, 2)
+    assert fd.product.num_terms() == 5
+    assert line_calls == [fd.product]
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +599,21 @@ def test_free_multiple_stops_at_a_repeated_factor(monkeypatch):
     assert str(ei.value) == "divisor has the repeated factor witness x*y*z"
     assert ei.value.witness == P("x*y*z")
     assert len(calls) == 1
+
+
+def test_free_multiple_zero_determinants_within_the_bound_take_no_det(line_calls, det_calls):
+    # x*y*z*w * (x*y + z*w) is reduced by its support.  Every subset's
+    # determinant is 0: the 72 subsets within the degree bound (5 or 6 against
+    # deg 6) prove it at one point, and only the 48 over it (7) expand Bareiss
+    ctx = Context(["x", "y", "z", "w"])
+    with pytest.raises(VerificationError) as ei:
+        free_multiple_via_xifi(parse_poly("x*y + z*w", ctx))
+    assert str(ei.value) == (
+        "no 3-subset of 10 bounded syzygies yields a Saito matrix (last failure: "
+        "determinant 0 is not a nonzero rational multiple of the divisor)"
+    )
+    assert line_calls == []
+    assert det_calls == [4] * 48
 
 
 def test_free_multiple_reports_failure():

@@ -1,7 +1,9 @@
 """The coefficient format of a polynomial is known to `poly.py` alone: no
 other module of freediv reads `Poly.terms`, and `poly._integer_form` is the
 only code that turns rational coefficients into integers, so the only code
-that reads `.numerator` or `.denominator`."""
+that reads `.numerator` or `.denominator`.  And the line certificate
+`squarefree_on_line` runs only behind the support certificate of
+`poly._squarefree_by_support`, or in `families.compose_factors`."""
 from __future__ import annotations
 
 import ast
@@ -12,21 +14,43 @@ import freediv
 MODULES = sorted(Path(freediv.__file__).parent.glob("*.py"))
 
 
-def _attribute_reads(path: Path, names: set[str]) -> list[tuple[str, int, str]]:
-    """(innermost enclosing function, line, attribute) of every read of an
-    attribute in names."""
+def _scan(path: Path, label) -> list[tuple[str, int, str]]:
+    """(innermost enclosing function, line, label) of every node outside a
+    function header for which label(node) gives a name, not None."""
     found = []
 
     def walk(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in names:
-            found.append((scope, node.lineno, node.attr))
+        elif name := label(node):
+            found.append((scope, node.lineno, name))
         for child in ast.iter_child_nodes(node):
             walk(child, scope)
 
     walk(ast.parse(path.read_text(), str(path)), "")
     return found
+
+
+def _attribute_reads(path: Path, names: set[str]) -> list[tuple[str, int, str]]:
+    """(innermost enclosing function, line, attribute) of every read of an
+    attribute in names."""
+    def label(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in names:
+            return node.attr
+        return None
+    return _scan(path, label)
+
+
+def _calls(path: Path, name: str) -> list[tuple[str, int, str]]:
+    """(innermost enclosing function, line, name) of every call of a function
+    of that name, plain or through a module."""
+    def label(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                return name
+        return None
+    return _scan(path, label)
 
 
 def test_the_modules_are_found():
@@ -43,3 +67,10 @@ def test_only_integer_form_reads_numerators_and_denominators():
                       if (p.name, r[0]) != ("poly.py", "_integer_form")]
              for p in MODULES}
     assert {name: r for name, r in reads.items() if r} == {}
+
+
+def test_the_line_certificate_runs_behind_the_support():
+    # a squarefree proof goes through squarefree_gcd, whose support certificate
+    # settles one- and two-term cofactors before any line certificate
+    calls = {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, "squarefree_on_line")}
+    assert calls == {("poly.py", "_squarefree_by_support"), ("families.py", "compose_factors")}
