@@ -55,6 +55,7 @@ from .saito import (
     PreconditionError,
     SaitoCertificate,
     VerificationError,
+    _verify_factors,
     column_roles,
     euler_frame,
     frame_divisor,
@@ -961,7 +962,9 @@ def multi_jet_extend(
     equal to scalar * gradient; re-validated here).  The certifying matrix is
     square of size (m+1)*n: the old columns stacked with their polars, a full
     weighted diagonal column across all blocks, and per jet level a shifted
-    copy of the old columns plus that level's plain diagonal column.
+    copy of the old columns plus that level's plain diagonal column.  Its
+    columns are checked logarithmic factor by factor, on f and on each f^(j),
+    never on the expanded product.
     """
     ctx = f.ctx
     n = ctx.nvars
@@ -997,7 +1000,7 @@ def multi_jet_extend(
         PolyMatrix(big, [[star(p, big, grp) for p in row] for row in hb.matrix.rows])
         for grp in fresh
     ]
-    divisor = poly_product(big, [f.embedded(big)] + [star(f, big, grp) for grp in fresh])
+    factors = [f.embedded(big)] + [star(f, big, grp) for grp in fresh]
     total = (m + 1) * n
     zero = big.zero()
     cols: list[list[Poly]] = []
@@ -1022,9 +1025,9 @@ def multi_jet_extend(
             col[offset + i] = big.var(fresh[j][i])
         cols.append(col)
     matrix = PolyMatrix(big, [[cols[c][r] for c in range(total)] for r in range(total)])
-    cert = verify_saito(divisor, matrix)
+    cert = _verify_factors(factors, matrix)[0]
     w_big = w * (m + 1)
-    if divisor.weighted_degree(w_big) != (m + 1) * d:
+    if cert.divisor.weighted_degree(w_big) != (m + 1) * d:
         raise InternalCheckError("the jet product has the wrong weighted degree")
     return cert
 

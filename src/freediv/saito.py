@@ -11,7 +11,10 @@ order.
 certificate (the monomial content and the term count settle a monomial times
 a binomial), then the line certificate of poly.squarefree_on_line on f
 without its monomial content, and falls back to the multivariate gcd.
-(iii) is checked by exact division.  For (ii), Saito's lemma (K. Saito,
+(iii) is checked by exact division, factor by factor when the divisor is
+known as a product (frame_divisor, the jet extensions, the x_1...x_n f
+multiples); _verify_factors proves that exact, and verify_saito is its
+one-factor case.  For (ii), Saito's lemma (K. Saito,
 "Theory of logarithmic differential forms and logarithmic vector fields",
 J. Fac. Sci. Univ. Tokyo 27, 1980, (1.8)) gives f | det A once (i) and (iii)
 hold; when in addition the degree bound min(sum_j max_i deg A_ij,
@@ -28,10 +31,11 @@ row passes the degree bound, the signed maximal minors are a constant times
 grad f, read at one point; otherwise the n minors are expanded.
 
 A FramedDivisor couples a factored divisor with a verified Saito matrix plus
-the exact per-column, per-factor logarithmic multipliers.  euler_frame
-normalizes any Saito matrix of a weighted-homogeneous divisor into the strict
-shape [E_w/d | annihilators], from which hilbert_burch_from_framed extracts
-the (n)x(n-1) block whose signed maximal minors reproduce the gradient.
+the exact per-column, per-factor logarithmic multipliers, which are the
+quotients of the factor-wise check.  euler_frame normalizes any Saito matrix
+of a weighted-homogeneous divisor into the strict shape
+[E_w/d | annihilators], from which hilbert_burch_from_framed extracts the
+(n)x(n-1) block whose signed maximal minors reproduce the gradient.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .linalg import bounded_syzygy_solve, fraction_det
-from .matrices import PolyMatrix, matrix_to_json
+from .matrices import InternalCheckError, PolyMatrix, matrix_to_json
 from .poly import (
     Context,
     Poly,
@@ -131,11 +135,39 @@ def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix) -> Fraction | None:
     return _ratio_at_point(matrix, f)
 
 
-def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
-    """Check Saito's criterion exactly; raise VerificationError on failure.
+def _column_quotients(g: Poly, matrix: PolyMatrix) -> tuple[list[Poly], tuple[int, Poly] | None]:
+    """The q_j with (grad g) . A_j = q_j * g in column order, up to the first
+    column j that fails, which is returned as (j, (grad g) . A_j)."""
+    quotients = []
+    for j, applied in enumerate(matrix.left_apply(g.gradient())):
+        q = divide_exact(applied, g)
+        if q is None:
+            return quotients, (j, applied)
+        quotients.append(q)
+    return quotients, None
+
+
+def _verify_factors(factors: Sequence[Poly], matrix: PolyMatrix
+                    ) -> tuple[SaitoCertificate, tuple[tuple[Poly, ...], ...]]:
+    """Check Saito's criterion for the product f of the factors, exactly;
+    return the certificate and the multiplier table, or raise
+    VerificationError.  table[j][i] * g_i = (grad g_i) . A_j for factor g_i.
+
+    The columns are checked factor by factor.  By Leibniz,
+    (grad f) . A_j = sum_i (prod_{k != i} g_k) (grad g_i) . A_j, so when every
+    g_i divides its own image, log_quotients[j] = sum_i table[j][i] exactly.
+    Conversely, with f proved squarefree first, a column logarithmic for f is
+    logarithmic for every factor: g_i divides (grad f) . A_j and every summand
+    but the i-th, so it divides (prod_{k != i} g_k) (grad g_i) . A_j, and g_i is
+    coprime to the other factors (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980,
+    section 1).  So a failed factor proves that f fails, and the check of f
+    itself then names the column and its image, as it does for one factor; f
+    passing after a factor failed is an InternalCheckError.
 
     The determinant error takes precedence over the column error, as the
     criterion lists them, although the columns are checked first."""
+    factors = tuple(factors)
+    f = poly_product(factors[0].ctx, factors)
     if f.is_zero() or f.is_constant():
         raise PreconditionError("the divisor must be nonzero and nonconstant")
     n = f.ctx.nvars
@@ -150,14 +182,16 @@ def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
             f"divisor has the repeated factor witness {poly_to_str(witness)}",
             witness=witness,
         )
-    quotients = []
-    failed = None
-    for j, applied in enumerate(matrix.left_apply(f.gradient())):
-        q = divide_exact(applied, f)
-        if q is None:
-            failed = (j, applied)
+    per_factor, failed = [], None
+    for g in factors:
+        quotients, failed = _column_quotients(g, matrix)
+        if failed:
             break
-        quotients.append(q)
+        per_factor.append(quotients)
+    if failed and len(factors) > 1:
+        _, failed = _column_quotients(f, matrix)
+        if failed is None:
+            raise InternalCheckError("a column logarithmic for the reduced product fails on a factor")
     scalar = None if failed else _det_scalar_by_lemma(f, matrix)
     det = f.ctx.zero()  # what a zero scalar proves
     if scalar is None:
@@ -178,7 +212,15 @@ def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
             f"not a multiple of the divisor",
             column=j,
         )
-    return SaitoCertificate(f, matrix, scalar, tuple(quotients), witness)
+    table = tuple(zip(*per_factor))
+    log_quotients = tuple(f.ctx.sum(row) for row in table)
+    return SaitoCertificate(f, matrix, scalar, log_quotients, witness), table
+
+
+def verify_saito(f: Poly, matrix: PolyMatrix) -> SaitoCertificate:
+    """Check Saito's criterion exactly; raise VerificationError on failure,
+    the determinant error before the column error (see _verify_factors)."""
+    return _verify_factors((f,), matrix)[0]
 
 
 def certificate_to_json(cert: SaitoCertificate) -> dict:
@@ -216,15 +258,17 @@ class FramedDivisor:
 
 def frame_divisor(factors: Sequence[Poly], matrix: PolyMatrix,
                   weight: Sequence | None = None) -> FramedDivisor:
-    """Verify a Saito matrix against a factored divisor, recording all multipliers."""
+    """Verify a Saito matrix against a factored divisor, recording all multipliers.
+
+    The multiplier table is the factor-wise quotients of the verification
+    itself; a certificate for the product proves every factor logarithmic."""
     factors = tuple(factors)
     if not factors:
         raise PreconditionError("at least one factor required")
-    product = poly_product(factors[0].ctx, factors)
     try:
-        cert = verify_saito(product, matrix)
+        cert, table = _verify_factors(factors, matrix)
     except (PreconditionError, VerificationError) as e:
-        # verify_saito proves the product squarefree before any check but its
+        # the product is proved squarefree before any check but its
         # preconditions; the factor-wise pass names the offending factor or
         # pairwise gcd, and takes precedence as the first check of the frame
         if isinstance(e, VerificationError) and e.kind != "not_squarefree":
@@ -237,28 +281,11 @@ def frame_divisor(factors: Sequence[Poly], matrix: PolyMatrix,
                 witness=offender,
             ) from None
         raise
-    if len(factors) == 1:  # the product is the factor: its quotients are the table
-        table = [(q,) for q in cert.log_quotients]
-    else:
-        applied = [matrix.left_apply(g.gradient()) for g in factors]
-        table = []
-        for j in range(matrix.ncols):
-            row = []
-            for i, g in enumerate(factors):
-                q = divide_exact(applied[i][j], g)
-                if q is None:
-                    raise VerificationError(
-                        "factor_not_logarithmic",
-                        f"column {j} is not logarithmic for factor {i}",
-                        column=j,
-                    )
-                row.append(q)
-            table.append(tuple(row))
     w = None
     if weight is not None:
         w = tuple(Fraction(x) for x in weight)
-        product.weighted_degree(w)  # raises NotHomogeneousError when it fails
-    return FramedDivisor(factors, product, matrix, cert, tuple(table), w)
+        cert.divisor.weighted_degree(w)  # raises NotHomogeneousError when it fails
+    return FramedDivisor(factors, cert.divisor, matrix, cert, table, w)
 
 
 def column_roles(fd: FramedDivisor) -> list[str]:
@@ -452,6 +479,7 @@ def saito_from_xifi(f: Poly, syzygies: PolyMatrix) -> SaitoCertificate:
     Row i of the syzygy matrix is scaled by x_i and the Euler column
     (x_1,...,x_n) is appended: every column is then logarithmic for g, and the
     construction succeeds exactly when the determinant is a unit multiple of g.
+    The columns are checked factor by factor, on f and on x_1...x_n.
     """
     ctx = f.ctx
     n = ctx.nvars
@@ -460,11 +488,13 @@ def saito_from_xifi(f: Poly, syzygies: PolyMatrix) -> SaitoCertificate:
     for j, s in enumerate(syzygies.left_apply(xifi_generators(f))):
         if not s.is_zero():
             raise PreconditionError(f"column {j} is not a syzygy of (x_i f_i)")
-    xs = [ctx.var(nm) for nm in ctx.names]
-    scaled = PolyMatrix(ctx, [[xs[i] * syzygies.entry(i, j) for j in range(n - 1)]
-                              for i in range(n)])
-    full = scaled.with_column(xs)
-    return verify_saito(poly_product(ctx, [f, *xs]), full)
+    return _xifi_certificate(f, PolyMatrix.diagonal(ctx.gens()) @ syzygies)
+
+
+def _xifi_certificate(f: Poly, scaled: PolyMatrix) -> SaitoCertificate:
+    """The certificate of saito_from_xifi from its syzygies, row i times x_i."""
+    xs = f.ctx.gens()
+    return _verify_factors((f, poly_product(f.ctx, xs)), scaled.with_column(xs))[0]
 
 
 def free_multiple_via_xifi(f: Poly, bound: int = 1) -> SaitoCertificate:
@@ -472,8 +502,9 @@ def free_multiple_via_xifi(f: Poly, bound: int = 1) -> SaitoCertificate:
 
     All (n-1)-subsets of the syzygy basis are tried in deterministic order;
     the first verified certificate wins.  Raises VerificationError when no
-    subset passes (larger bounds may still succeed).  The product
-    x_1...x_n f is the same for every subset, so verify_saito's not_squarefree
+    subset passes (larger bounds may still succeed).  The basis vectors are
+    checked to be syzygies, and scaled, once before the search.  The
+    product x_1...x_n f is the same for every subset, so the not_squarefree
     error on the first subset is raised as it is.  That error is about the
     product, not about f: for the squarefree f = x*y*z its witness is x*y*z.
     """
@@ -487,12 +518,14 @@ def free_multiple_via_xifi(f: Poly, bound: int = 1) -> SaitoCertificate:
             "xifi_search",
             f"only {len(basis)} syzygies of degree <= {bound}; {n - 1} needed",
         )
+    syzygies = PolyMatrix(f.ctx, [[v[i] for v in basis] for i in range(n)])
+    if any(not s.is_zero() for s in syzygies.left_apply(gens)):
+        raise InternalCheckError("a bounded syzygy basis vector is not a syzygy of (x_i f_i)")
+    scaled = PolyMatrix.diagonal(f.ctx.gens()) @ syzygies
     last_error: VerificationError | None = None
     for subset in combinations(range(len(basis)), n - 1):
-        cols = [basis[k] for k in subset]
-        mat = PolyMatrix(f.ctx, [[cols[j][i] for j in range(n - 1)] for i in range(n)])
         try:
-            return saito_from_xifi(f, mat)
+            return _xifi_certificate(f, scaled.submatrix(range(n), subset))
         except VerificationError as e:
             if e.kind == "not_squarefree":
                 raise

@@ -62,20 +62,23 @@ def mat(ctx: Context, rows) -> PolyMatrix:
 @pytest.fixture(autouse=True)
 def bareiss_oracle(monkeypatch):
     """Check every certificate built in this module against the polynomial
-    determinant: det_scalar must equal det(matrix) / f by Bareiss."""
-    verify = freediv.saito.verify_saito
+    determinant and the expanded product: det_scalar must equal det(matrix) / f
+    by Bareiss, and each log quotient times f must be (grad f) . column."""
+    verify = freediv.saito._verify_factors
     checked = []
 
-    def checking(f, matrix):
-        cert = verify(f, matrix)
+    def checking(factors, matrix):
+        cert, table = verify(factors, matrix)
+        f = cert.divisor
         scalar = divide_exact(matrix.det(strategy="bareiss"), f)
         assert scalar is not None and scalar.is_constant()
         assert cert.det_scalar == scalar.constant_value()
+        assert [q * f for q in cert.log_quotients] == matrix.left_apply(f.gradient())
         checked.append(matrix.nrows)
-        return cert
+        return cert, table
 
     for module in (freediv.saito, freediv.families):
-        monkeypatch.setattr(module, "verify_saito", checking)
+        monkeypatch.setattr(module, "_verify_factors", checking)
     return checked
 
 

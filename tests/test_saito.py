@@ -10,9 +10,23 @@ import freediv.families
 import freediv.poly
 import freediv.saito
 from freediv.cli import _matrix_entries, _parse_matrix
-from freediv.families import brieskorn_chain, brieskorn_seed, multi_jet_extend
-from freediv.matrices import PolyMatrix
-from freediv.poly import Context, NotHomogeneousError, divide_exact, parse_poly, sample_ints
+from freediv.families import (
+    brieskorn_chain,
+    brieskorn_seed,
+    iterate_tangent,
+    multi_jet_extend,
+    sum_compose,
+)
+from freediv.matrices import InternalCheckError, PolyMatrix
+from freediv.poly import (
+    Context,
+    NotHomogeneousError,
+    divide_exact,
+    parse_poly,
+    poly_product,
+    poly_to_str,
+    sample_ints,
+)
 from freediv.saito import (
     FramingError,
     HilbertBurch,
@@ -354,6 +368,192 @@ def test_frame_runs_the_line_certificate_once(line_calls):
 
 
 # ---------------------------------------------------------------------------
+# the factor-wise verification core
+# ---------------------------------------------------------------------------
+
+
+def _outcome(run):
+    """("verified", certificate fields..., table) of a check that returns a
+    certificate and its multiplier table, or ("error", kind, message, column,
+    witness)."""
+    try:
+        cert, table = run()
+    except VerificationError as e:
+        return ("error", e.kind, str(e), e.column, e.witness)
+    return ("verified", cert.divisor, cert.det_scalar, cert.log_quotients,
+            [poly_to_str(q) for q in cert.log_quotients], cert.squarefree_witness, table)
+
+
+def _framed(factors, matrix):
+    fd = frame_divisor(factors, matrix)
+    return fd.certificate, fd.multipliers
+
+
+def _factor_table(factors, matrix):
+    """table[j][i] = ((grad g_i) . A_j) / g_i by per-factor division."""
+    per_factor = [[divide_exact(v, g) for v in matrix.left_apply(g.gradient())] for g in factors]
+    return tuple(zip(*per_factor))
+
+
+def _agrees_with_the_product(factors, matrix, got) -> bool:
+    """got, the outcome of the core on the factors, is that of verify_saito on
+    their product, with the per-factor quotients as its table."""
+    product = poly_product(factors[0].ctx, factors)
+    return got == _outcome(lambda: (verify_saito(product, matrix), _factor_table(factors, matrix)))
+
+
+@pytest.fixture
+def factored_checks(monkeypatch):
+    """(factors, matrix, outcome) of every core check on two or more factors."""
+    seen = []
+    verify = freediv.saito._verify_factors
+
+    def recording(factors, matrix):
+        got = verify(factors, matrix)
+        if len(factors) > 1:
+            seen.append((tuple(factors), matrix, _outcome(lambda: got)))
+        return got
+
+    for module in (freediv.saito, freediv.families):
+        monkeypatch.setattr(module, "_verify_factors", recording)
+    return seen
+
+
+def _factored_constructions(rng):
+    """Chains, sum compositions, jets and x_i f_i multiples, with seeded
+    exponents: the constructors that hand the core a factor list."""
+    chain = [rng.randint(2, 4) for _ in range(rng.randint(3, 4))]
+    yield lambda: brieskorn_chain(*chain)
+    left, right = [rng.randint(2, 3) for _ in range(2)], [rng.randint(2, 3) for _ in range(2)]
+    yield lambda: sum_compose(brieskorn_seed(*left), brieskorn_seed(*right, names=("y1", "y2")))
+    seed = brieskorn_seed(*left)
+    hb = hilbert_burch_from_framed(euler_frame(seed.product, seed.weight, seed.matrix))
+    yield lambda: multi_jet_extend(seed.product, hb, seed.weight, rng.randint(1, 2))
+    yield lambda: iterate_tangent(parse_poly("x1*x2", Context(("x1", "x2"))), (1, 1), 2)
+    yield lambda: free_multiple_via_xifi(P("x*y + x*z + y*z"))
+
+
+def test_core_agrees_with_the_product_check(factored_checks):
+    rng = make_rng(42)
+    for _ in range(2):
+        for build in _factored_constructions(rng):
+            before = len(factored_checks)
+            build()
+            assert len(factored_checks) > before
+    for factors, matrix, got in factored_checks:
+        assert got[0] == "verified"
+        assert _agrees_with_the_product(factors, matrix, got)
+
+
+@pytest.mark.parametrize("factors, rows, kind, message, column", [
+    # column 0 is logarithmic for x, not for y; det = x*y
+    (("x", "y"), [["x", "0"], ["x", "y"]], "not_logarithmic",
+     "column 0 applied to the divisor gives x^2 + x*y, not a multiple of the divisor", 0),
+    # the same column with det = x
+    (("x", "y"), [["x", "0"], ["x", "1"]], "det_mismatch",
+     "determinant x is not a nonzero rational multiple of the divisor", None),
+    # column 0 fails for the last factor x + y only; det = x*y*(x + y)
+    (("x", "y", "x + y"), [["x", "x^2"], ["2*y", "3*x*y + y^2"]], "not_logarithmic",
+     "column 0 applied to the divisor gives 4*x^2*y + 5*x*y^2, not a multiple of the divisor", 0),
+    # the same column with a determinant that is no multiple of the divisor
+    (("x", "y", "x + y"), [["x", "x^2 + 1"], ["2*y", "3*x*y + y^2"]], "det_mismatch",
+     "determinant x^2*y + x*y^2 - 2*y is not a nonzero rational multiple of the divisor", None),
+])
+def test_a_failed_factor_reports_the_product_error(factors, rows, kind, message, column):
+    ctx = Context(["x", "y"])
+    factors = [parse_poly(g, ctx) for g in factors]
+    matrix = M(rows, ctx)
+    got = _outcome(lambda: _framed(factors, matrix))
+    assert got == ("error", kind, message, column, None)
+    assert _agrees_with_the_product(factors, matrix, got)
+
+
+def _unit_triangular(rng, ctx, n, upper):
+    """A seeded n x n unit triangular matrix with entries 0, +-1 and +-x_i."""
+    choices = [ctx.const(1), *ctx.gens()]
+
+    def entry(i, j):
+        if i == j:
+            return ctx.const(1)
+        if (i < j) != upper:
+            return ctx.zero()
+        return rng.choice(choices).scale(rng.randint(-1, 1))
+
+    return PolyMatrix(ctx, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def test_core_agrees_with_the_product_check_on_perturbed_frames():
+    # V @ A @ U with V, U unit triangular has the determinant of A; U keeps the
+    # columns logarithmic, V mostly breaks one, and a column times a variable
+    # breaks the determinant
+    rng = make_rng(43)
+    xy = Context(["x", "y"])
+    frames = [frame_divisor([P(g, xy) for g in ("x", "y", "x + y")],
+                            M([["x", "x^2"], ["y", "-y^2"]], xy)),
+              brieskorn_chain(2, 3, 2)]
+    kinds = set()
+    for fd in frames:
+        ctx, n = fd.ctx, fd.matrix.nrows
+        for _ in range(25):
+            matrix = (_unit_triangular(rng, ctx, n, rng.random() < 0.5) @ fd.matrix
+                      @ _unit_triangular(rng, ctx, n, True))
+            if rng.random() < 0.3:
+                j, x = rng.randrange(n), rng.choice(ctx.gens())
+                matrix = PolyMatrix(ctx, [[p * x if k == j else p for k, p in enumerate(row)]
+                                          for row in matrix.rows])
+            got = _outcome(lambda: _framed(fd.factors, matrix))
+            kinds.add(got[1] if got[0] == "error" else got[0])
+            assert _agrees_with_the_product(fd.factors, matrix, got)
+    assert kinds == {"verified", "not_logarithmic", "det_mismatch"}
+
+
+def test_a_factor_failing_under_a_passing_product_is_an_internal_error(monkeypatch):
+    # unreachable over Q (see _verify_factors): a division that wrongly fails
+    # on the factor y stands in for a fault in the kernel
+    ctx = Context(["x", "y"])
+    y = parse_poly("y", ctx)
+    divide = freediv.saito.divide_exact
+    monkeypatch.setattr(freediv.saito, "divide_exact", lambda g, f: None if f == y else divide(g, f))
+    with pytest.raises(InternalCheckError):
+        frame_divisor([parse_poly("x", ctx), y], M([["x", "0"], ["0", "y"]], ctx))
+
+
+@pytest.fixture
+def divisors(monkeypatch):
+    """The divisor of every divide_exact call made by saito and families."""
+    seen = []
+    divide = freediv.poly.divide_exact
+
+    def recording(g, f):
+        seen.append(f)
+        return divide(g, f)
+
+    for module in (freediv.saito, freediv.families):
+        monkeypatch.setattr(module, "divide_exact", recording)
+    return seen
+
+
+def test_a_chain_is_never_divided_by_its_product(divisors, monkeypatch):
+    calls = []
+    left_apply = PolyMatrix.left_apply
+    monkeypatch.setattr(PolyMatrix, "left_apply",
+                        lambda self, vector: calls.append(1) or left_apply(self, vector))
+    fd = brieskorn_chain(2, 3, 2)
+    assert fd.product not in divisors
+    # one gradient against the columns per factor: the seed's, then the chain's two
+    assert len(calls) == 3
+
+
+def test_a_jet_is_never_divided_by_its_product(divisors):
+    seed = brieskorn_seed(2, 3)
+    hb = hilbert_burch_from_framed(euler_frame(seed.product, seed.weight, seed.matrix))
+    divisors.clear()
+    cert = multi_jet_extend(seed.product, hb, seed.weight, 2)
+    assert divisors
+    assert cert.divisor not in divisors
+
+
+# ---------------------------------------------------------------------------
 # euler_frame and Hilbert-Burch
 # ---------------------------------------------------------------------------
 
@@ -591,8 +791,9 @@ def test_free_multiple_stops_at_a_repeated_factor(monkeypatch):
     # x*y*z * f does not depend on the syzygy subset, so the first
     # not_squarefree failure decides every subset
     calls = []
-    verify = freediv.saito.verify_saito
-    monkeypatch.setattr(freediv.saito, "verify_saito", lambda g, m: calls.append(g) or verify(g, m))
+    verify = freediv.saito._verify_factors
+    monkeypatch.setattr(freediv.saito, "_verify_factors",
+                        lambda gs, m: calls.append(gs) or verify(gs, m))
     with pytest.raises(VerificationError) as ei:
         free_multiple_via_xifi(P("x*y*z"))
     assert ei.value.kind == "not_squarefree"
@@ -614,6 +815,25 @@ def test_free_multiple_zero_determinants_within_the_bound_take_no_det(line_calls
     )
     assert line_calls == []
     assert det_calls == [4] * 48
+
+
+def test_free_multiple_checks_the_syzygies_once(monkeypatch):
+    # one left_apply over all 10 basis vectors, not one per 3-subset (120)
+    ctx = Context(["x", "y", "z", "w"])
+    f = parse_poly("x*y + z*w", ctx)
+    gens = xifi_generators(f)
+    calls = []
+    left_apply = PolyMatrix.left_apply
+
+    def counting(self, vector):
+        if list(vector) == gens:
+            calls.append(self.ncols)
+        return left_apply(self, vector)
+
+    monkeypatch.setattr(PolyMatrix, "left_apply", counting)
+    with pytest.raises(VerificationError):
+        free_multiple_via_xifi(f)
+    assert calls == [10]
 
 
 def test_free_multiple_reports_failure():

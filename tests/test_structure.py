@@ -1,9 +1,10 @@
 """The coefficient format of a polynomial is known to `poly.py` alone: no
 other module of freediv reads `Poly.terms`, and `poly._integer_form` is the
 only code that turns rational coefficients into integers, so the only code
-that reads `.numerator` or `.denominator`.  And the line certificate
+that reads `.numerator` or `.denominator`.  The line certificate
 `squarefree_on_line` runs only behind the support certificate of
-`poly._squarefree_by_support`, or in `families.compose_factors`."""
+`poly._squarefree_by_support`, or in `families.compose_factors`.  And every
+`SaitoCertificate` is built by the verification core `saito._verify_factors`."""
 from __future__ import annotations
 
 import ast
@@ -74,3 +75,10 @@ def test_the_line_certificate_runs_behind_the_support():
     # settles one- and two-term cofactors before any line certificate
     calls = {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, "squarefree_on_line")}
     assert calls == {("poly.py", "_squarefree_by_support"), ("families.py", "compose_factors")}
+
+
+def test_only_the_verification_core_builds_certificates():
+    # no path builds a certificate around the checks of _verify_factors, nor
+    # around the test oracles that wrap it
+    calls = {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, "SaitoCertificate")}
+    assert calls == {("saito.py", "_verify_factors")}
