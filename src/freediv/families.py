@@ -1075,10 +1075,9 @@ def iterate_tangent(
         hb = hilbert_burch_from_framed(framed)
         cert = multi_jet_extend(current, hb, weight, 1)
         big = cert.divisor.ctx
-        base = current.embedded(big)
-        jet = divide_exact(cert.divisor, base)
-        if jet is None:
-            raise InternalCheckError("the jet divisor is not a multiple of its base")
+        # the jet factor multi_jet_extend multiplied in: the polar form of
+        # current over the fresh names
+        jet = star(current, big, big.names[current.ctx.nvars:])
         factors = [g.embedded(big) for g in factors] + [jet]
         weight = weight + weight
         current, current_matrix = cert.divisor, cert.matrix

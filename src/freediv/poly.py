@@ -11,7 +11,10 @@ all of them take one integer form: _integer_form(values) is (den, nums) with
 den the lcm of the denominators and values[i] == nums[i] / den, and it is the
 only code that reads a numerator or a denominator.  A product multiplies
 integer numerators over each operand's common denominator, on exponents
-packed into one int; exact division divides integer numerators by the
+packed into one int, in the one product loop _mul_loop; poly_product and
+substitute keep a whole chain of products in that packed integer form, from
+the first factor to the result, with the terms of a substitution summed over
+one common denominator; exact division divides integer numerators by the
 primitive integer form of the divisor, in one remainder updated in place;
 evaluation sums integer numerators over the common denominator; the line
 certificate evaluates the numerators mod a prime, and runs only where the
@@ -286,7 +289,10 @@ class Poly:
         a, b = (self.terms, o.terms) if len(self.terms) <= len(o.terms) else (o.terms, self.terms)
         if len(a) == 1:
             return Poly(self.ctx, _mul_monomial(a, b))
-        return Poly(self.ctx, _mul_packed(a, b))
+        pack, unpack = _codec(self.ctx.nvars, _top(a) + _top(b))
+        da, pa = _to_packed(a, pack)
+        db, pb = _to_packed(b, pack)
+        return Poly(self.ctx, _from_packed(da * db, _mul_loop(pa, pb), unpack))
 
     __rmul__ = __mul__
 
@@ -442,21 +448,21 @@ def _mul_monomial(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> d
     return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
 
 
-def _mul_packed(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
-    """The terms of a * b, for the outer operand a, on integers.
+def _top(terms: dict[Exponent, Fraction]) -> int:
+    """The largest exponent of any variable in the terms; 0 for no terms."""
+    return max(map(max, terms)) if terms else 0
 
-    Each exponent tuple is packed into one int, a field of w bits per
-    variable, w the bit length of (max exponent of a + max exponent of b)
+
+def _codec(n: int, bound: int) -> tuple[Callable[[Exponent], int], Callable[[int], Exponent]]:
+    """(pack, unpack) between n-variable exponent tuples with entries at most
+    `bound` and single ints.
+
+    Each variable gets a field of w bits, w the bit length of the bound
     widened to 8 when shorter, so that bytes() and int.to_bytes pack and
-    unpack in C.  Every exponent of the product fits its field, so adding
-    two packed ints adds the tuples with no carry between fields.
-    Coefficients are integer numerators over each operand's common
-    denominator.  Terms come out in the order, and with the values, of the
-    term-by-term Fraction loop: a sum that cancels is deleted and inserted
-    again if it reappears.
+    unpack in C.  While every exponent of a product stays within the bound,
+    adding two packed ints adds the tuples with no carry between fields.
     """
-    n = len(next(iter(a)))
-    width = (max(map(max, a)) + max(map(max, b))).bit_length()
+    width = bound.bit_length()
     if width <= 8:
         def pack(e): return int.from_bytes(bytes(e), "little")
         def unpack(k): return tuple(k.to_bytes(n, "little"))
@@ -465,13 +471,37 @@ def _mul_packed(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dic
         mask = (1 << width) - 1
         def pack(e): return sum(map(lshift, e, shifts))
         def unpack(k): return tuple((k >> s) & mask for s in shifts)
-    da, nas = _integer_form(a.values())
-    db, nbs = _integer_form(b.values())
-    bs = list(zip(map(pack, b), nbs))
+    return pack, unpack
+
+
+def _to_packed(terms: dict[Exponent, Fraction], pack) -> tuple[int, dict[int, int]]:
+    """(den, {packed exponent: integer numerator}), in storage order."""
+    den, nums = _integer_form(terms.values())
+    return den, dict(zip(map(pack, terms), nums))
+
+
+def _from_packed(den: int, acc: dict[int, int], unpack) -> dict[Exponent, Fraction]:
+    """The terms {exponent: numerator / den}, in the order of acc."""
+    if den == 1:
+        return {unpack(k): Fraction(v) for k, v in acc.items()}
+    return {unpack(k): Fraction(v, den) for k, v in acc.items()}
+
+
+def _mul_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The packed terms of a * b, the smaller operand (a on a tie) in the
+    outer loop.
+
+    Terms come out in the order, and with the values up to the product of
+    the two denominators, of the term-by-term Fraction loop: a sum that
+    cancels is deleted and inserted again if it reappears.  A zero operand
+    (no terms) gives no terms.
+    """
+    if len(b) < len(a):
+        a, b = b, a
+    bs = b.items()
     acc: dict[int, int] = {}
     get = acc.get
-    for e, va in zip(a, nas):
-        ka = pack(e)
+    for ka, va in a.items():
         for kb, vb in bs:
             k = ka + kb
             v = get(k, 0) + va * vb
@@ -479,10 +509,7 @@ def _mul_packed(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dic
                 acc[k] = v
             else:
                 del acc[k]
-    den = da * db
-    if den == 1:
-        return {unpack(k): Fraction(v) for k, v in acc.items()}
-    return {unpack(k): Fraction(v, den) for k, v in acc.items()}
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -908,17 +935,50 @@ def product_squarefree(factors: Sequence[Poly]) -> tuple[bool, Poly | None]:
 
 def poly_product(ctx: Context, polys: Sequence[Poly]) -> Poly:
     """The product of the polynomials, multiplied from the first factor on;
-    the constant 1 of ctx when there are none."""
+    the constant 1 of ctx when there are none.
+
+    With two or more factors of several terms the whole chain stays in
+    integer form: one packing, with fields wide enough for the sum of the
+    factors' largest exponents, integer numerators multiplied by _mul_loop
+    step by step, and Fractions built for the result only.  Gauss's lemma
+    is why no step needs a Fraction.  Terms, values and term order are
+    those of the fold out * p.  With fewer, that fold is cheaper: every step
+    but one has a one-term operand.
+    """
     if not polys:
         return ctx.const(1)
     out = polys[0]
+    if sum(len(p.terms) > 1 for p in polys) < 2:
+        for p in polys[1:]:
+            out = out * p
+        return out
     for p in polys[1:]:
-        out = out * p
-    return out
+        out._coerce(p)  # the context-mismatch error of out * p, before any work
+    pack, unpack = _codec(out.ctx.nvars, sum(_top(p.terms) for p in polys))
+    den, acc = _to_packed(out.terms, pack)
+    for p in polys[1:]:
+        d, t = _to_packed(p.terms, pack)
+        den *= d
+        acc = _mul_loop(acc, t)
+    return Poly(out.ctx, _from_packed(den, acc, unpack))
 
 
 def substitute(h: Poly, args: Sequence[Poly]) -> Poly:
-    """Evaluate h at the given polynomials (all over one common context)."""
+    """Evaluate h at the given polynomials (all over one common context).
+
+    Each term c * x^e of h, in ascending grevlex order, becomes c times the
+    product of the cached powers args[i]^e_i, and the terms are summed.
+    When some argument has several terms this runs in integer form: the
+    arguments are packed once, with fields wide enough for the largest
+    sum_i e_i * (largest exponent of args[i]) over the terms of h; powers and
+    products are _mul_loop on integer numerators, and each term starts from
+    its numerator scaled to the lcm of the term denominators, so the sum is
+    one integer accumulator over that lcm.  Fractions are built for the
+    result only; terms, values and term order are those of the Fraction
+    loop, the products taken by Poly.__mul__ and the sum by Context.sum.
+    With monomial arguments every product has a one-term operand, and that
+    loop is the cheaper one.
+    """
     if len(args) != h.ctx.nvars:
         raise PolyError(f"{h.ctx.nvars} arguments required, got {len(args)}")
     if not args:
@@ -927,20 +987,48 @@ def substitute(h: Poly, args: Sequence[Poly]) -> Poly:
     for a in args:
         if a.ctx != ctx:
             raise PolyError("substitution arguments live in different contexts")
-    # cache powers of each argument
-    pows: list[dict[int, Poly]] = [{0: ctx.const(1), 1: a} for a in args]
-    def power(i: int, k: int) -> Poly:
-        cache = pows[i]
-        if k not in cache:
-            cache[k] = power(i, k - 1) * cache[1]
-        return cache[k]
-    def term(e: Exponent, c: Fraction) -> Poly:
-        t = ctx.const(c)
+    terms = sorted(h.terms.items(), key=lambda t: grevlex_key(t[0]))
+    if all(len(a.terms) <= 1 for a in args):
+        # cache powers of each argument
+        pows: list[list[Poly]] = [[ctx.const(1), a] for a in args]
+
+        def term(e: Exponent, c: Fraction) -> Poly:
+            t = ctx.const(c)
+            for i, k in enumerate(e):
+                if k:
+                    cache = pows[i]
+                    while len(cache) <= k:
+                        cache.append(cache[-1] * cache[1])
+                    t = t * cache[k]
+            return t
+        return ctx.sum(term(e, c) for e, c in terms)
+    # the bound covers every power taken, and every argument as packed
+    tops = [_top(a.terms) for a in args]
+    pack, unpack = _codec(ctx.nvars, max([*tops, *(sum(map(mul, e, tops)) for e, _ in terms)]))
+    dens, packed = zip(*(_to_packed(a.terms, pack) for a in args))
+    ipows = [[{0: 1}, p] for p in packed]
+    den_h, nums = _integer_form([c for _, c in terms])
+    # the denominator of each term is den_h * prod_i dens[i]^e_i
+    scales = [prod(map(pow, dens, e)) for e, _ in terms]
+    den = lcm(*scales)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for (e, _), num, scale in zip(terms, nums, scales):
+        t = {0: num * (den // scale)}
         for i, k in enumerate(e):
             if k:
-                t = t * power(i, k)
-        return t
-    return ctx.sum(term(e, c) for e, c in sorted(h.terms.items(), key=lambda t: grevlex_key(t[0])))
+                cache = ipows[i]
+                while len(cache) <= k:
+                    cache.append(_mul_loop(cache[-1], cache[1]))
+                t = _mul_loop(t, cache[k])
+        # Context.sum: in place, a cancelled sum deleted
+        for k, v in t.items():
+            v += get(k, 0)
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return Poly(ctx, _from_packed(den_h * den, acc, unpack))
 
 
 def star(p: Poly, big: Context, fresh: Sequence[str]) -> Poly:

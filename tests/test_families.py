@@ -1018,6 +1018,21 @@ class TestIterate:
             jet = divide_exact(cur.divisor, prev.divisor.embedded(big))
             assert jet is not None and not jet.is_constant()
 
+    def test_no_jet_is_divided_by_its_base(self, monkeypatch):
+        # each step takes its jet factor as the polar form of the previous
+        # divisor, never as the quotient of the jet product by that divisor
+        divisors = []
+
+        def counting(g, f):
+            divisors.append(f)
+            return divide_exact(g, f)
+        monkeypatch.setattr(freediv.families, "divide_exact", counting)
+        ctx = Context(("x1", "x2"))
+        seq = iterate_tangent(parse_poly("x1*x2", ctx), (1, 1), 3)
+        bases = [prev.divisor.embedded(cur.divisor.ctx) for prev, cur in zip(seq, seq[1:])]
+        assert len(bases) == 3
+        assert not [f for f in divisors if f in bases]
+
     def test_one_step_from_a_crossing(self):
         ctx = Context(("x1", "x2"))
         seq = iterate_tangent(parse_poly("x1*x2", ctx), (1, 1), 1)

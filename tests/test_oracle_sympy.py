@@ -1,7 +1,8 @@
 """Independent oracles from sympy: its square-free decomposition for
 squarefreeness and its gcd for common factors, on seeded random polynomials
 with and without planted squares and factors; its polynomial product, exact division, gcd and determinant for
-`Poly.__mul__`, `divide_exact`, `poly_gcd` and `PolyMatrix.det`; its exact
+`Poly.__mul__`, `divide_exact`, `poly_gcd` and `PolyMatrix.det`; its
+substitution for `substitute` under invertible linear changes of coordinates; its exact
 row reduction for rref, the kernel basis of `_solve` and solve_linear, on derandomized sparse
 and dense rational systems; and its determinant for the integer elimination
 of `fraction_det`, beside the Fraction loop that elimination replaced."""
@@ -17,7 +18,7 @@ from freediv.linalg import _solve, fraction_det, rref, solve_linear
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
     Context, Poly, coprime_on_line, divide_exact, normalize_primitive, poly_gcd, squarefree_gcd,
-    squarefree_on_line,
+    squarefree_on_line, substitute,
 )
 
 from helpers import CASES, make_rng, rand_nonzero, rand_poly
@@ -161,6 +162,49 @@ def test_mul_agrees_with_sympy():
               (CTX.const(Fraction(5, 7)), x * y - 1)]
     for a, b in pairs:
         assert a * b == from_sympy(to_sympy(a) * to_sympy(b)), (a, b)
+
+
+def _signed_permutation_of_i_plus_j(perm, s, t) -> list[list[int]]:
+    """The coefficient rows the refute_syzygy benchmark draws: a signed
+    permutation of I + J, with determinant +-(n + 1)."""
+    n = len(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][perm[j]] = s[i] * t[j] * (2 if i == j else 1)
+    return rows
+
+
+_SIGNS = st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4)
+_FORMS = st.one_of(
+    st.builds(_signed_permutation_of_i_plus_j, st.permutations(range(4)), _SIGNS, _SIGNS),
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(rows=_FORMS, k=st.integers(3, 5),
+       extra=st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _COEFFS, max_size=4))
+def test_substitute_agrees_with_sympy_under_linear_changes(rows, k, extra):
+    # as smooth_times_nc_verdict does: the inverse of the forms' coefficient
+    # matrix gives the new coordinates, which straighten each form to its
+    # variable; a Fermat form of degree k, plus a few terms, is substituted
+    matrix = sympy.Matrix(rows)
+    if matrix.det() == 0:
+        return
+    inverse = matrix.inv()
+    gens = CTX.gens()
+    coords = [CTX.sum(g.scale(Fraction(int(inverse[i, j].p), int(inverse[i, j].q)))
+                      for j, g in enumerate(gens)) for i in range(4)]
+    fermat = {tuple(k * (j == i) for j in range(4)): Fraction(1) for i in range(4)}
+    f = Poly(CTX, {**fermat, **extra})
+    subs = {sym: to_sympy(c).as_expr() for sym, c in zip(SYMS, coords)}
+    expected = from_sympy(sympy.Poly(to_sympy(f).as_expr().subs(subs, simultaneous=True), *SYMS,
+                                     domain="QQ"))
+    assert substitute(f, coords) == expected
+    for i, row in enumerate(rows):
+        ell = CTX.sum(g.scale(c) for g, c in zip(gens, row))
+        assert substitute(ell, coords) == gens[i]
 
 
 def test_divide_exact_agrees_with_sympy_on_divisible_pairs():

@@ -469,6 +469,28 @@ def test_substitute_is_a_ring_map_random():
         assert substitute(h1 + h2, args) == substitute(h1, args) + substitute(h2, args)
 
 
+def test_chains_stay_in_integer_form(monkeypatch):
+    # a substitution or product with two or more multi-term factors runs in
+    # integer form from the first factor to the result: no Poly.__mul__
+    h = parse_poly("u^3 - 2*u*v + 1/3*v^2", Context(["u", "v"]))
+    args = [P("x + 1/2*y"), P("y - z + 2")]
+    factors = [P("x + y"), P("2*x - 1/3*z"), P("y + z + 1"), P("x*y")]
+    expected = substitute(h, args), freediv.poly.poly_product(XYZ, factors)
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    assert substitute(h, args) == expected[0]
+    assert freediv.poly.poly_product(XYZ, factors) == expected[1]
+    assert calls == []
+    # the wrapper counts: a fold of one-term factors still goes through it
+    freediv.poly.poly_product(XYZ, [X, P("y + z")])
+    assert len(calls) == 1
+
+
 def test_star_oracle():
     f = P("x^2*y")
     big = XYZ.extend(["u", "v", "w"])

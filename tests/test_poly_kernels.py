@@ -1,8 +1,9 @@
 """The integer kernels of `Poly.__mul__`, `divide_exact`, `Poly.evaluate` and
-`Poly.weighted_degree`, the line restriction `_on_line`, and the one-dict sums
-of `Context.sum`, against the term-by-term Fraction loops they replaced, kept
-here as the reference: same terms, same values and, for products and sums,
-the same term order.  `_integer_form`, the one conversion of rational
+`Poly.weighted_degree`, the line restriction `_on_line`, the one-dict sums
+of `Context.sum`, and the integer chains of `poly_product` and `substitute`,
+against the term-by-term Fraction loops they replaced, kept here as the
+reference: same terms, same values and, for products, sums and
+substitutions, the same term order.  `_integer_form`, the one conversion of rational
 coefficients to integers, against its definition."""
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
     LINE_PRIME, Context, NotHomogeneousError, Poly, PolyError, _exp_div, _integer_form, _interpolate_mod,
-    _on_line, divide_exact, grevlex_key, parse_poly, sample_ints, star, substitute,
+    _on_line, divide_exact, grevlex_key, parse_poly, poly_product, sample_ints, star, substitute,
 )
 
 from helpers import CASES, make_rng, rand_poly
@@ -108,6 +109,19 @@ def ref_sum(ctx: Context, polys) -> Poly:
     return out
 
 
+def ref_product(ctx: Context, polys) -> Poly:
+    """The fold out = ref_mul(out, p) from the first factor on, with the
+    context check of Poly.__mul__."""
+    if not polys:
+        return ctx.const(1)
+    out = polys[0]
+    for p in polys[1:]:
+        if p.ctx != out.ctx:
+            raise PolyError(f"context mismatch: {out.ctx} vs {p.ctx}")
+        out = ref_mul(out, p)
+    return out
+
+
 def ref_substitute(h: Poly, args) -> Poly:
     ctx = args[0].ctx
     pows = [{0: ctx.const(1), 1: a} for a in args]
@@ -115,14 +129,14 @@ def ref_substitute(h: Poly, args) -> Poly:
     def power(i, k):
         cache = pows[i]
         if k not in cache:
-            cache[k] = power(i, k - 1) * cache[1]
+            cache[k] = ref_mul(power(i, k - 1), cache[1])
         return cache[k]
     out = ctx.zero()
     for e, c in sorted(h.terms.items(), key=lambda t: grevlex_key(t[0])):
         term = ctx.const(c)
         for i, k in enumerate(e):
             if k:
-                term = term * power(i, k)
+                term = ref_mul(term, power(i, k))
         out = ref_add(out, term)
     return out
 
@@ -332,6 +346,99 @@ def test_sum_context_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# chains: poly_product and substitute against the reference folds
+# ---------------------------------------------------------------------------
+
+UVW = Context(["u", "v", "w"])
+
+
+def _rational(rng) -> Fraction:
+    return Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 5, 12]))
+
+
+def test_substitute_under_dense_rational_linear_changes():
+    # every argument a rational combination of every variable, and a constant
+    rng = make_rng(140)
+    for n in (2, 3, 4):
+        ctx = Context([f"x{i}" for i in range(n)])
+        gens = ctx.gens()
+        for _ in range(max(CASES // 50, 5)):
+            h = rand_poly(rng, ctx, max_terms=6, max_deg=4)
+            args = [ctx.sum([g.scale(_rational(rng)) for g in gens] + [ctx.const(_rational(rng))])
+                    for _ in range(n)]
+            assert same(substitute(h, args), ref_substitute(h, args))
+            assert same(poly_product(ctx, args), ref_product(ctx, args))
+
+
+@pytest.mark.parametrize("big", [150, 2 ** 70])
+def test_chains_wider_than_a_byte(big):
+    # 2 * 150 = 300 needs 9-bit fields, 2^71 needs 72
+    a = XY.monomial((big, 0)) + Y.scale(Fraction(1, 3))
+    b = X + XY.monomial((0, big), 2) - XY.const(Fraction(5, 7))
+    h = parse_poly("u^2 - 3*u*v + 1/2*v^2 + 1", Context(["u", "v"]))
+    assert same(substitute(h, [a, b]), ref_substitute(h, [a, b]))
+    assert substitute(h, [a, b]).coeff((2 * big, 0)) == 1
+    assert same(poly_product(XY, [a, b, a]), ref_product(XY, [a, b, a]))
+    assert poly_product(XY, [a, b, a]).coeff((2 * big, big)) == 2
+    # an argument that h never raises to a power is packed all the same
+    h = parse_poly("u^2 - u", Context(["u", "v"]))
+    assert same(substitute(h, [X + Y, a]), ref_substitute(h, [X + Y, a]))
+
+
+@pytest.mark.parametrize("args", [
+    [X + Y, XY.zero(), X.scale(2)],
+    [XY.zero(), XY.zero(), X - Y],
+    [XY.const(3), X * Y, X + XY.const(1)],
+    [X.scale(Fraction(-1, 2)), Y, X * Y + Y],
+    [XY.zero(), X, Y],
+    [XY.const(Fraction(2, 3)), XY.zero(), XY.const(-1)],
+])
+def test_substitute_with_zero_and_one_term_arguments(args):
+    h = parse_poly("u^2*v + 2/3*u*w - w^3 + v^2 + 1/5", UVW)
+    got = substitute(h, args)
+    assert same(got, ref_substitute(h, args))
+    assert got == ref_product(XY, [args[0], args[0], args[1]]) + args[0] * args[2].scale(Fraction(2, 3)) \
+        - ref_product(XY, [args[2]] * 3) + args[1] * args[1] + XY.const(Fraction(1, 5))
+
+
+def test_chains_with_zero_and_one_term_factors():
+    for factors in ([X + Y, XY.zero(), X - Y], [X, X + Y, Y.scale(3), X - Y],
+                    [XY.const(Fraction(1, 2)), X + Y], [X * Y], [], [XY.zero(), X + Y, Y + 1]):
+        assert same(poly_product(XY, factors), ref_product(XY, factors))
+
+
+def test_substitutions_that_cancel():
+    s = X + Y.scale(Fraction(1, 2))
+    for text, args in [("u^2 - v^2", [s, s, X]), ("u - v + w", [s, s, XY.zero()]),
+                       ("u*v - v*w", [X + Y, s, X + Y]), ("u^3 - 3*u*v + w", [s, s * s, s])]:
+        h = parse_poly(text, UVW)
+        got = substitute(h, args)
+        assert same(got, ref_substitute(h, args))
+    zero = substitute(parse_poly("u^2 - v*w", UVW), [s, s, s])
+    assert zero.is_zero() and zero.terms == {}
+    # x cancels between the second and third terms of h and comes back with
+    # the fourth: it is inserted again at the end, as Context.sum does
+    h = parse_poly("w^2 + v + u - w", UVW)
+    args = [X + XY.const(1), -X + Y, X]
+    got = substitute(h, args)
+    assert same(got, ref_substitute(h, args))
+
+
+def test_chain_context_mismatch():
+    x3, y3, _ = XYZ.gens()
+    factors = [X + Y, X - Y, x3 + y3]
+    with pytest.raises(PolyError) as got:
+        poly_product(XY, factors)
+    with pytest.raises(PolyError) as expected:
+        (X + Y) * (X - Y) * (x3 + y3)
+    assert str(got.value) == str(expected.value) == f"context mismatch: {XY} vs {XYZ}"
+    with pytest.raises(PolyError, match="context mismatch"):
+        poly_product(XY, [X + Y, x3, X - Y])
+    with pytest.raises(PolyError, match="different contexts"):
+        substitute(parse_poly("u*v", UVW), [X + Y, x3 + y3, X])
+
+
+# ---------------------------------------------------------------------------
 # property tests against the reference loops
 # ---------------------------------------------------------------------------
 
@@ -414,6 +521,20 @@ def test_sums_agree_with_the_reference_fold(data):
     product = m @ other
     for row, expected_row in zip(product.rows, ref_matmul(m, other), strict=True):
         assert all(map(same, row, expected_row)) and len(row) == len(expected_row)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_chains_agree_with_the_reference_folds(data):
+    nvars = data.draw(st.integers(1, 3))
+    ctx = Context([f"x{i}" for i in range(nvars)])
+    exps = data.draw(st.sampled_from([_TINY_EXP, _ANY_EXP]))
+    factors = data.draw(_polys(nvars, data.draw(st.integers(0, 5)), exps))
+    assert same(poly_product(ctx, factors), ref_product(ctx, factors))
+    k = data.draw(st.integers(1, 3))
+    (h,) = data.draw(_polys(k, 1, _SMALL_EXP))
+    args = [Poly(ctx, dict(list(a.terms.items())[:3])) for a in data.draw(_polys(nvars, k, exps))]
+    assert same(substitute(h, args), ref_substitute(h, args))
 
 
 _WEIGHT = st.one_of(st.integers(-3, 5), st.builds(Fraction, st.integers(-7, 9), st.sampled_from([1, 2, 3, 4, 6, 35])))

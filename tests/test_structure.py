@@ -3,8 +3,10 @@ other module of freediv reads `Poly.terms`, and `poly._integer_form` is the
 only code that turns rational coefficients into integers, so the only code
 that reads `.numerator` or `.denominator`.  The line certificate
 `squarefree_on_line` runs only behind the support certificate of
-`poly._squarefree_by_support`, or in `families.compose_factors`.  And every
-`SaitoCertificate` is built by the verification core `saito._verify_factors`."""
+`poly._squarefree_by_support`, or in `families.compose_factors`.  Every
+`SaitoCertificate` is built by the verification core `saito._verify_factors`.
+And one function of `poly.py`, `_mul_loop`, holds the term-by-term product
+loop."""
 from __future__ import annotations
 
 import ast
@@ -82,3 +84,46 @@ def test_only_the_verification_core_builds_certificates():
     # around the test oracles that wrap it
     calls = {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, "SaitoCertificate")}
     assert calls == {("saito.py", "_verify_factors")}
+
+
+def _stores(node, skip=None) -> set[str]:
+    """The names that node binds, outside the subtree skip."""
+    found, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            found.add(n.id)
+        todo.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def _product_loops(path: Path) -> list[tuple[str, int, str]]:
+    """(innermost enclosing function, line, "product") of every for loop with
+    a for loop inside that both adds and multiplies a name bound by the
+    outer loop (outside the inner one) and a name bound by the inner loop:
+    exponents added, values multiplied, the shape of a term-by-term
+    product."""
+    def pairs(node, outer, inner):
+        return {type(op.op) for op in ast.walk(node)
+                if isinstance(op, ast.BinOp) and isinstance(op.left, ast.Name)
+                and isinstance(op.right, ast.Name)
+                and {op.left.id, op.right.id} & outer and {op.left.id, op.right.id} & inner}
+
+    def label(node):
+        if not isinstance(node, ast.For):
+            return None
+        for inner in ast.walk(node):
+            if (inner is not node and isinstance(inner, ast.For)
+                    and {ast.Add, ast.Mult} <= pairs(inner, _stores(node, inner), _stores(inner))):
+                return "product"
+        return None
+    return _scan(path, label)
+
+
+def test_one_function_holds_the_product_loop():
+    # Poly.__mul__, poly_product and substitute all multiply in _mul_loop;
+    # no second loop over the terms of two operands, in any module
+    loops = {(p.name, scope) for p in MODULES for scope, _, _ in _product_loops(p)}
+    assert loops == {("poly.py", "_mul_loop")}
