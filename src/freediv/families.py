@@ -226,6 +226,20 @@ def _binomial_saito(
     return f, PolyMatrix(ctx, rows)
 
 
+def _verify_binomial(
+    f: Poly, matrix: PolyMatrix, alpha: int, beta: int, u: int, t: int
+) -> SaitoCertificate:
+    """verify_saito(f, matrix) for a matrix of _binomial_saito, whose
+    determinant scalar must be beta*alpha + u*beta + t*alpha exactly."""
+    cert = verify_saito(f, matrix)
+    expected = Fraction(beta * alpha + u * beta + t * alpha)
+    if cert.det_scalar != expected:
+        raise InternalCheckError(
+            f"determinant scalar {cert.det_scalar} differs from the closed form {expected}"
+        )
+    return cert
+
+
 def binomial_divisor(spec: BinomialSpec) -> SaitoCertificate:
     """Build and certify the divisor of a :class:`BinomialSpec`.
 
@@ -248,13 +262,7 @@ def binomial_divisor(spec: BinomialSpec) -> SaitoCertificate:
         Fraction(1),
         Fraction(1),
     )
-    cert = verify_saito(f, matrix)
-    expected = Fraction(spec.beta * spec.alpha + spec.u * spec.beta + spec.t * spec.alpha)
-    if cert.det_scalar != expected:
-        raise InternalCheckError(
-            f"determinant scalar {cert.det_scalar} differs from the closed form {expected}"
-        )
-    return cert
+    return _verify_binomial(f, matrix, spec.alpha, spec.beta, spec.u, spec.t)
 
 
 def is_free_binomial(F: Poly) -> FamilyVerdict:
@@ -315,12 +323,7 @@ def is_free_binomial(F: Poly) -> FamilyVerdict:
         )
         if f_check != F:
             raise InternalCheckError("normal-form reconstruction does not reproduce the input")
-        cert = verify_saito(F, matrix)
-        expected = Fraction(beta * alpha + u * beta + t * alpha)
-        if cert.det_scalar != expected:
-            raise InternalCheckError(
-                f"determinant scalar {cert.det_scalar} differs from the closed form {expected}"
-            )
+        cert = _verify_binomial(F, matrix, alpha, beta, u, t)
         spec = BinomialSpec(
             n=len(x_idx),
             a=a,

@@ -124,18 +124,13 @@ class PolyMatrix:
 
     # -- determinants ---------------------------------------------------------------
 
-    def det(self, strategy: str | None = None) -> Poly:
-        """Determinant; `strategy` forces "bareiss" or "cofactor", default cross-checks."""
+    def det(self) -> Poly:
+        """Determinant by Bareiss elimination, cross-checked by cofactor
+        expansion up to CROSSCHECK_LIMIT rows."""
         if not self.is_square():
             raise MatrixError("determinant of a non-square matrix")
         if self.nrows == 0:
             return self.ctx.const(1)
-        if strategy == "bareiss":
-            return self._det_bareiss()
-        if strategy == "cofactor":
-            return self._det_cofactor()
-        if strategy is not None:
-            raise MatrixError(f"unknown determinant strategy {strategy!r}")
         d = self._det_bareiss()
         if crosscheck_enabled and self.nrows <= CROSSCHECK_LIMIT:
             d2 = self._det_cofactor()

@@ -11,18 +11,18 @@ all of them take one integer form: _integer_form(values) is (den, nums) with
 den the lcm of the denominators and values[i] == nums[i] / den, and it is the
 only code that reads a numerator or a denominator.  A product multiplies
 integer numerators over each operand's common denominator, on exponents
-packed into one int, in the one product loop _mul_loop; poly_product and
-substitute keep a whole chain of products in that packed integer form, from
-the first factor to the result, with the terms of a substitution summed over
-one common denominator; exact division divides integer numerators by the
-primitive integer form of the divisor, in one remainder updated in place;
-evaluation sums integer numerators over the common denominator; the line
-certificate evaluates the numerators mod a prime, and runs only where the
-monomial content and the term count (the support certificate of
-squarefree_gcd) leave squarefreeness open; weighted degrees sum
-exponents times the weights in integer form.  Each builds Fractions only for
-what it returns.  Every sum of polynomials, `+` included, is Context.sum: the
-terms accumulate in one dict, not in a copy per addition.
+packed into one int, in the one product loop _mul_loop; a sum of products
+(every substitution, and every product of two or more multi-term factors) is
+the one chain _sum_of_products, in that packed form from the first factor to
+the result and summed over one common denominator; exact division divides
+integer numerators by the primitive integer form of the divisor, in one
+remainder updated in place; evaluation sums integer numerators over the
+common denominator; the line certificate evaluates the numerators mod a
+prime, and runs only where the monomial content and the term count (the
+support certificate of squarefree_gcd) leave squarefreeness open; weighted
+degrees sum exponents times the weights in integer form.  Each builds
+Fractions only for what it returns.  Every sum of polynomials, `+` included,
+is Context.sum: the terms accumulate in one dict, not in a copy per addition.
 
 This module is the only one that reads Poly.terms; the rest of freediv goes
 through Poly's methods (items, coeff, support, lead_exponent, num_terms), so
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd, lcm, prod
 from operator import add, getitem, lshift, mul, sub
 from typing import Callable, Collection, Iterable, Sequence
@@ -69,7 +70,8 @@ class ParseError(PolyError):
 
 
 class NotHomogeneousError(PolyError):
-    """Raised when a weighted degree is requested of an inhomogeneous polynomial."""
+    """Raised when a weighted degree is requested of an inhomogeneous
+    polynomial, or with a weight vector of the wrong length."""
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ class Poly:
         """The weight vector as Fractions, one per variable."""
         w = [Fraction(x) for x in weights]
         if len(w) != self.ctx.nvars:
-            raise PolyError("weight vector length mismatch")
+            raise NotHomogeneousError("weight vector length mismatch")
         return w
 
     def euler_apply(self, weights: Sequence) -> "Poly":
@@ -421,11 +423,6 @@ class Poly:
         pad = (0,) * (big.nvars - self.ctx.nvars)
         return Poly(big, {e + pad: c for e, c in self.terms.items()})
 
-    def renamed(self, mapping: dict[str, str]) -> "Poly":
-        """Same polynomial over a context with some variables renamed."""
-        new_names = tuple(mapping.get(nm, nm) for nm in self.ctx.names)
-        return Poly(Context(new_names), dict(self.terms))
-
     def reordered(self, new_order: Sequence[str]) -> "Poly":
         """Same polynomial over the same names listed in a new order."""
         if sorted(new_order) != sorted(self.ctx.names):
@@ -449,8 +446,9 @@ def _mul_monomial(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> d
 
 
 def _top(terms: dict[Exponent, Fraction]) -> int:
-    """The largest exponent of any variable in the terms; 0 for no terms."""
-    return max(map(max, terms)) if terms else 0
+    """The largest exponent of any variable in the terms; 0 for no terms or
+    no variables."""
+    return max(chain.from_iterable(terms), default=0)
 
 
 def _codec(n: int, bound: int) -> tuple[Callable[[Exponent], int], Callable[[int], Exponent]]:
@@ -510,6 +508,56 @@ def _mul_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             else:
                 del acc[k]
     return acc
+
+
+def _sum_of_products(ctx: Context, terms: Sequence[tuple[Exponent, Fraction | int]],
+                     args: Sequence[Poly]) -> Poly:
+    """The sum of c * prod_i args[i]^e_i over the (e, c) in terms, in that
+    order, for args over ctx; zero for no terms.
+
+    The chain stays in integer form; Gauss's lemma is why no step needs a
+    Fraction.  The arguments that some term raises to a positive power are
+    packed once, with fields wide enough for the largest
+    sum_i e_i * (largest exponent of args[i]) over the terms.  Powers, cached
+    per argument, and products are _mul_loop on integer numerators, and each
+    term starts from its numerator scaled to the lcm of the term
+    denominators, so the first term's product is the one accumulator, over
+    that lcm, into which the others are added in place.  Terms, values and
+    term order are those of the Fraction loop: each term
+    ctx.const(c) * args[i]^e_i * ... by Poly.__mul__, summed by Context.sum.
+    """
+    tops = [_top(a.terms) for a in args]
+    pack, unpack = _codec(ctx.nvars, max((sum(map(mul, e, tops)) for e, _ in terms), default=0))
+    dens = [1] * len(args)
+    pows: list[list[dict[int, int]]] = [[] for _ in args]
+    for i, col in enumerate(zip(*(e for e, _ in terms))):
+        if any(col):
+            dens[i], packed = _to_packed(args[i].terms, pack)
+            pows[i] = [{0: 1}, packed]
+    den_h, nums = _integer_form([c for _, c in terms])
+    # the denominator of each term is den_h * prod_i dens[i]^e_i
+    scales = [prod(map(pow, dens, e)) for e, _ in terms]
+    den = lcm(*scales)
+    acc: dict[int, int] | None = None
+    for (e, _), num, scale in zip(terms, nums, scales):
+        t = {0: num * (den // scale)}
+        for i, k in enumerate(e):
+            if k:
+                cache = pows[i]
+                while len(cache) <= k:
+                    cache.append(_mul_loop(cache[-1], cache[1]))
+                t = _mul_loop(t, cache[k])
+        if acc is None:
+            acc, get = t, t.get
+            continue
+        # Context.sum: in place, a cancelled sum deleted
+        for k, v in t.items():
+            v += get(k, 0)
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return Poly(ctx, _from_packed(den_h * den, acc or {}, unpack))
 
 
 # ---------------------------------------------------------------------------
@@ -937,13 +985,11 @@ def poly_product(ctx: Context, polys: Sequence[Poly]) -> Poly:
     """The product of the polynomials, multiplied from the first factor on;
     the constant 1 of ctx when there are none.
 
-    With two or more factors of several terms the whole chain stays in
-    integer form: one packing, with fields wide enough for the sum of the
-    factors' largest exponents, integer numerators multiplied by _mul_loop
-    step by step, and Fractions built for the result only.  Gauss's lemma
-    is why no step needs a Fraction.  Terms, values and term order are
-    those of the fold out * p.  With fewer, that fold is cheaper: every step
-    but one has a one-term operand.
+    With two or more factors of several terms this is the chain
+    _sum_of_products of the single term y_1 * ... * y_k at the factors, in
+    integer form from the first factor to the result.  With fewer, the fold
+    out * p is cheaper: every step but one has a one-term operand.  Terms,
+    values and term order are those of that fold either way.
     """
     if not polys:
         return ctx.const(1)
@@ -954,30 +1000,17 @@ def poly_product(ctx: Context, polys: Sequence[Poly]) -> Poly:
         return out
     for p in polys[1:]:
         out._coerce(p)  # the context-mismatch error of out * p, before any work
-    pack, unpack = _codec(out.ctx.nvars, sum(_top(p.terms) for p in polys))
-    den, acc = _to_packed(out.terms, pack)
-    for p in polys[1:]:
-        d, t = _to_packed(p.terms, pack)
-        den *= d
-        acc = _mul_loop(acc, t)
-    return Poly(out.ctx, _from_packed(den, acc, unpack))
+    return _sum_of_products(out.ctx, [((1,) * len(polys), 1)], polys)
 
 
 def substitute(h: Poly, args: Sequence[Poly]) -> Poly:
     """Evaluate h at the given polynomials (all over one common context).
 
     Each term c * x^e of h, in ascending grevlex order, becomes c times the
-    product of the cached powers args[i]^e_i, and the terms are summed.
-    When some argument has several terms this runs in integer form: the
-    arguments are packed once, with fields wide enough for the largest
-    sum_i e_i * (largest exponent of args[i]) over the terms of h; powers and
-    products are _mul_loop on integer numerators, and each term starts from
-    its numerator scaled to the lcm of the term denominators, so the sum is
-    one integer accumulator over that lcm.  Fractions are built for the
-    result only; terms, values and term order are those of the Fraction
-    loop, the products taken by Poly.__mul__ and the sum by Context.sum.
-    With monomial arguments every product has a one-term operand, and that
-    loop is the cheaper one.
+    product of the powers args[i]^e_i, and the terms are summed: the chain
+    _sum_of_products, in integer form from the arguments to the result, with
+    the terms, values and term order of the Fraction loop whose products
+    are taken by Poly.__mul__ and whose sum is Context.sum.
     """
     if len(args) != h.ctx.nvars:
         raise PolyError(f"{h.ctx.nvars} arguments required, got {len(args)}")
@@ -987,48 +1020,7 @@ def substitute(h: Poly, args: Sequence[Poly]) -> Poly:
     for a in args:
         if a.ctx != ctx:
             raise PolyError("substitution arguments live in different contexts")
-    terms = sorted(h.terms.items(), key=lambda t: grevlex_key(t[0]))
-    if all(len(a.terms) <= 1 for a in args):
-        # cache powers of each argument
-        pows: list[list[Poly]] = [[ctx.const(1), a] for a in args]
-
-        def term(e: Exponent, c: Fraction) -> Poly:
-            t = ctx.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    cache = pows[i]
-                    while len(cache) <= k:
-                        cache.append(cache[-1] * cache[1])
-                    t = t * cache[k]
-            return t
-        return ctx.sum(term(e, c) for e, c in terms)
-    # the bound covers every power taken, and every argument as packed
-    tops = [_top(a.terms) for a in args]
-    pack, unpack = _codec(ctx.nvars, max([*tops, *(sum(map(mul, e, tops)) for e, _ in terms)]))
-    dens, packed = zip(*(_to_packed(a.terms, pack) for a in args))
-    ipows = [[{0: 1}, p] for p in packed]
-    den_h, nums = _integer_form([c for _, c in terms])
-    # the denominator of each term is den_h * prod_i dens[i]^e_i
-    scales = [prod(map(pow, dens, e)) for e, _ in terms]
-    den = lcm(*scales)
-    acc: dict[int, int] = {}
-    get = acc.get
-    for (e, _), num, scale in zip(terms, nums, scales):
-        t = {0: num * (den // scale)}
-        for i, k in enumerate(e):
-            if k:
-                cache = ipows[i]
-                while len(cache) <= k:
-                    cache.append(_mul_loop(cache[-1], cache[1]))
-                t = _mul_loop(t, cache[k])
-        # Context.sum: in place, a cancelled sum deleted
-        for k, v in t.items():
-            v += get(k, 0)
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-    return Poly(ctx, _from_packed(den_h * den, acc, unpack))
+    return _sum_of_products(ctx, sorted(h.terms.items(), key=lambda t: grevlex_key(t[0])), args)
 
 
 def star(p: Poly, big: Context, fresh: Sequence[str]) -> Poly:

@@ -367,6 +367,20 @@ class TestConstruct:
             "degrees ['2', '4']\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ("iterate", "--f", "x*y", "--vars", "x,y", "--weights", "1", "--steps", "1"),
+        ("jets", "--f", "x*y", "--vars", "x,y", "--weights", "1", "--m", "2"),
+        ("sum-compose", "--f", "x1*x2", "--vars", "x1,x2", "--weights", "1",
+         "--g", "y1*y2", "--g-vars", "y1,y2", "--g-weights", "1,1"),
+        ("sum-compose", "--f", "x1*x2", "--vars", "x1,x2", "--weights", "1,1",
+         "--g", "y1*y2", "--g-vars", "y1,y2", "--g-weights", "1,1,1"),
+    ])
+    def test_short_weights_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "error (precondition): weight vector length mismatch\n"
+
     def test_jets_line(self, capsys):
         code, payload, _ = run_cli(
             capsys,

@@ -247,8 +247,9 @@ def test_det_agrees_with_sympy():
         rows = [[rand_poly(rng, CTX, max_terms=3, max_deg=2) for _ in range(n)] for _ in range(n)]
         m = sympy.Matrix([[to_sympy(p).as_expr() for p in r] for r in rows])
         expected = from_sympy(sympy.Poly(m.det(method="berkowitz"), *SYMS, domain="QQ"))
-        for strategy in (None, "bareiss", "cofactor"):
-            assert PolyMatrix(CTX, rows).det(strategy) == expected, (strategy, rows)
+        pm = PolyMatrix(CTX, rows)
+        for det in (pm.det, pm._det_bareiss, pm._det_cofactor):
+            assert det() == expected, (det.__name__, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -470,12 +470,25 @@ def test_substitute_is_a_ring_map_random():
 
 
 def test_chains_stay_in_integer_form(monkeypatch):
-    # a substitution or product with two or more multi-term factors runs in
-    # integer form from the first factor to the result: no Poly.__mul__
+    # a substitution, whatever its arguments, or a product with two or more
+    # multi-term factors runs in integer form from the first factor to the
+    # result: no Poly.__mul__
     h = parse_poly("u^3 - 2*u*v + 1/3*v^2", Context(["u", "v"]))
     args = [P("x + 1/2*y"), P("y - z + 2")]
     factors = [P("x + y"), P("2*x - 1/3*z"), P("y + z + 1"), P("x*y")]
     expected = substitute(h, args), freediv.poly.poly_product(XYZ, factors)
+    # monomial arguments: coordinates, a signed permutation, and the two
+    # normal-crossing sides x1*x2 and x3*x4 that sum_compose substitutes
+    # into y1*y2*(y1 + y2) and its matrix entries
+    g = P("x^2*y - 3*y*z + 1/2*z^3 - 1")
+    ctx4 = Context(["x1", "x2", "x3", "x4"])
+    x1, x2, x3, x4 = ctx4.gens()
+    sides = [x1 * x2, x3 * x4]
+    outer = [parse_poly(text, Context(["y1", "y2"])) for text in ("y1*y2*(y1 + y2)", "y1", "-y2")]
+    monomial_cases = [(g, [X, Y, Z]), (g, [Z, -X, Y])] + [(o, sides) for o in outer]
+    expected_monomial = [substitute(p, a) for p, a in monomial_cases]
+    assert expected_monomial[1] == P("z^2*(-x) - 3*(-x)*y + 1/2*y^3 - 1")
+    assert expected_monomial[2] == x1 ** 2 * x2 ** 2 * x3 * x4 + x1 * x2 * x3 ** 2 * x4 ** 2
     calls = []
     mul = Poly.__mul__
 
@@ -485,6 +498,7 @@ def test_chains_stay_in_integer_form(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", counting)
     assert substitute(h, args) == expected[0]
     assert freediv.poly.poly_product(XYZ, factors) == expected[1]
+    assert [substitute(p, a) for p, a in monomial_cases] == expected_monomial
     assert calls == []
     # the wrapper counts: a fold of one-term factors still goes through it
     freediv.poly.poly_product(XYZ, [X, P("y + z")])
@@ -544,13 +558,10 @@ def test_deg_shift_inverse_rejects_zero_eigenvalue():
 # ---------------------------------------------------------------------------
 
 
-def test_embedded_and_renamed_and_reordered():
+def test_embedded_and_reordered():
     f = P("x^2*y - z")
     big = XYZ.extend(["u"])
     assert f.embedded(big) == parse_poly("x^2*y - z", big)
-    g = f.renamed({"x": "a"})
-    assert g.ctx.names == ("a", "y", "z")
-    assert poly_to_str(g) == "a^2*y - z"
     h = f.reordered(["z", "x", "y"])
     assert h.ctx.names == ("z", "x", "y")
     assert h == parse_poly("x^2*y - z", h.ctx)

@@ -180,7 +180,7 @@ def ref_matmul(a: PolyMatrix, b: PolyMatrix) -> list[list[Poly]]:
 def ref_weighted_degree(p: Poly, weights) -> Fraction:
     w = [Fraction(x) for x in weights]
     if len(w) != p.ctx.nvars:
-        raise PolyError("weight vector length mismatch")
+        raise NotHomogeneousError("weight vector length mismatch")
     if p.is_zero():
         raise PolyError("the zero polynomial has no degree")
     degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in p.terms}
@@ -215,6 +215,10 @@ def test_zero_variable_context():
     assert divide_exact(b, a) == ctx.const(Fraction(-8, 3))
     assert a.evaluate([]) == Fraction(3, 2)
     assert ctx.zero().evaluate([]) == 0
+    # constants as arguments: no variables to pack
+    h = parse_poly("u^2*v - 3*u + 1/2", Context(["u", "v"]))
+    assert same(substitute(h, [a, b]), ref_substitute(h, [a, b]))
+    assert same(substitute(h, [ctx.zero(), b]), ref_substitute(h, [ctx.zero(), b]))
 
 
 @pytest.mark.parametrize("big", [2 ** 70, 2 ** 70 - 1, 127, 128])
@@ -537,6 +541,20 @@ def test_chains_agree_with_the_reference_folds(data):
     assert same(substitute(h, args), ref_substitute(h, args))
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_a_product_is_the_substitution_into_the_product_of_the_variables(data):
+    # poly_product with two or more multi-term factors is the chain of
+    # substitute at the one term y1*...*yk: both must agree on any factors
+    nvars = data.draw(st.integers(1, 3))
+    ctx = Context([f"x{i}" for i in range(nvars)])
+    exps = data.draw(st.sampled_from([_TINY_EXP, _ANY_EXP]))
+    factors = data.draw(_polys(nvars, data.draw(st.integers(1, 5)), exps))
+    k = len(factors)
+    ys = Context([f"y{i}" for i in range(k)]).monomial((1,) * k)
+    assert same(poly_product(ctx, factors), substitute(ys, factors))
+
+
 _WEIGHT = st.one_of(st.integers(-3, 5), st.builds(Fraction, st.integers(-7, 9), st.sampled_from([1, 2, 3, 4, 6, 35])))
 
 
@@ -577,3 +595,12 @@ def test_weighted_degree_message_sorts_the_fraction_strings():
     assert str(ei.value) == "not homogeneous for weights ('1/2', '5/3'): degrees ['0', '1', '5/3']"
     assert str(ei.value) == _outcome(ref_weighted_degree, p, w)[1]
     assert (X * Y.scale(7)).weighted_degree((Fraction(1, 6), Fraction(-1, 4))) == Fraction(-1, 12)
+
+
+def test_a_wrong_length_weight_vector_is_a_weight_error():
+    p = X * Y + Y * Y
+    assert _outcome(p.weighted_degree, (1,)) == _outcome(ref_weighted_degree, p, (1,)) == (
+        "NotHomogeneousError", "weight vector length mismatch")
+    for fn in (p.is_homogeneous, p.euler_apply):
+        with pytest.raises(NotHomogeneousError, match="weight vector length mismatch"):
+            fn((1, 1, 1))

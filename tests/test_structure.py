@@ -6,7 +6,8 @@ that reads `.numerator` or `.denominator`.  The line certificate
 `poly._squarefree_by_support`, or in `families.compose_factors`.  Every
 `SaitoCertificate` is built by the verification core `saito._verify_factors`.
 And one function of `poly.py`, `_mul_loop`, holds the term-by-term product
-loop."""
+loop, which only `Poly.__mul__` and the product chain `_sum_of_products`
+call."""
 from __future__ import annotations
 
 import ast
@@ -127,3 +128,10 @@ def test_one_function_holds_the_product_loop():
     # no second loop over the terms of two operands, in any module
     loops = {(p.name, scope) for p in MODULES for scope, _, _ in _product_loops(p)}
     assert loops == {("poly.py", "_mul_loop")}
+
+
+def test_only_the_product_and_the_chain_call_the_product_loop():
+    # substitute and poly_product multiply through _sum_of_products, never
+    # with a pack, loop and unpack of their own
+    calls = {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, "_mul_loop")}
+    assert calls == {("poly.py", "__mul__"), ("poly.py", "_sum_of_products")}
