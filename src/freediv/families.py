@@ -914,8 +914,6 @@ def _default_jet_names(ctx: Context, m: int) -> list[list[str]]:
             if not _letter_available(letter, taken):
                 continue
             names = [letter] if n == 1 else [f"{letter}{i + 1}" for i in range(n)]
-            if set(names) & taken:
-                continue
             groups.append(names)
             taken.update(names)
             break

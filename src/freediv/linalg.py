@@ -3,8 +3,12 @@
 Everything reduces to row reduction over Q: annihilating Euler fields from
 support exponents, degree-matched ideal membership, bounded-degree syzygies,
 and the Koszul homotopy that trivializes 1-cycles against a weighted Euler
-derivation.  Polynomial identities become one rational system, a row per
-(coordinate, exponent), built by _coefficient_system for every solve.
+derivation.  Every solve of sum_i h_i * g_i = t, each h_i a combination of
+given monomials, runs in one core, `_solve_in_multiples`: a column per
+(generator, monomial), a row per (coordinate, exponent) from
+`_coefficient_system`, one `_solve`, and the solution and kernel read back
+as multipliers.  Degree-matched membership, bounded syzygies and the scalar
+obstruction of `obstruction` differ only in the monomials they pass.
 
 `rref` eliminates on sparse rows (a dict from column to nonzero entry), since
 these systems are mostly zeros: the largest from the x_i * df/dx_i syzygy
@@ -158,11 +162,11 @@ def _normalize_integer_vector(v: Vec) -> Vec:
     return [Fraction(x) for x in ints]
 
 
-def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: int,
-           kernel: bool = True) -> tuple[Vec | None, list[Vec]]:
+def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
+           ncols: int) -> tuple[Vec | None, list[Vec]]:
     """One solution of A x = b (free variables set to zero, None when
-    inconsistent) and, when asked, the kernel basis of A, from one
-    reduction of [A | b].  Its pivots below column ncols are those of A."""
+    inconsistent) and the kernel basis of A, from one reduction of [A | b].
+    Its pivots below column ncols are those of A."""
     red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)]
                        or [[Fraction(0)] * (ncols + 1)])
     particular = None
@@ -173,25 +177,16 @@ def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: i
         for r, pc in enumerate(pivots):
             particular[pc] = red[r][ncols]
     basis: list[Vec] = []
-    if kernel:
-        pivot_set = set(pivots)
-        for c in range(ncols):
-            if c in pivot_set:
-                continue
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r][c]
-            basis.append(_normalize_integer_vector(v))
+    pivot_set = set(pivots)
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][c]
+        basis.append(_normalize_integer_vector(v))
     return particular, basis
-
-
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
-    """One exact solution of A x = b (free variables set to zero), or None."""
-    rows = list(rows)
-    if not rows or not rhs:
-        return []
-    return _solve(rows, rhs, len(rows[0]), kernel=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +250,42 @@ def _coefficient_system(
     return rows, rhs
 
 
-def poly_linear_solve(columns: Sequence[Poly], target: Poly) -> Vec | None:
-    """Rational c with sum_i c_i * columns[i] = target."""
-    return solve_linear(*_coefficient_system([[p] for p in columns], [target]))
+@dataclass(frozen=True)
+class SyzygyResult:
+    """Solutions h (one tuple of multipliers per gen) of sum h_i gen_i = target."""
+
+    particular: tuple[Poly, ...] | None
+    basis: tuple[tuple[Poly, ...], ...]  # syzygies of the gens within the bound
+
+
+def _solve_in_multiples(gvecs: Sequence[Sequence[Poly]], tvec: Sequence[Poly],
+                        exponents: Sequence[Sequence[tuple[int, ...]]]) -> SyzygyResult:
+    """Multipliers h_i in the span of the monomials x^e, e in exponents[i],
+    with sum_i h_i * gvecs[i] = tvec (vectors of polynomials of one length).
+
+    A column per unknown (i, e), holding x^e * gvecs[i]; one reduction gives
+    one solution, free unknowns set to zero, and the kernel basis.  The
+    exponents of one multiplier are distinct, so its terms are set, not
+    summed."""
+    ctx = gvecs[0][0].ctx
+    columns: list[list[Poly]] = []
+    owners: list[tuple[int, tuple[int, ...]]] = []
+    for i, (g, exps) in enumerate(zip(gvecs, exponents)):
+        for e in exps:
+            m = ctx.monomial(e)
+            columns.append([m * p for p in g])
+            owners.append((i, e))
+    particular, kernel = _solve(*_coefficient_system(columns, tvec), len(columns))
+
+    def multipliers(coeffs: Vec) -> tuple[Poly, ...]:
+        terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in gvecs]
+        for c, (i, e) in zip(coeffs, owners):
+            if c:
+                terms[i][e] = c
+        return tuple(Poly(ctx, t) for t in terms)
+
+    return SyzygyResult(None if particular is None else multipliers(particular),
+                        tuple(multipliers(v) for v in kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +318,6 @@ def monomials_up_to_degree(ctx: Context, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _multipliers(ctx: Context, count: int, owners: Sequence[tuple[int, tuple[int, ...]]],
-                 coeffs: Sequence[Fraction]) -> tuple[Poly, ...]:
-    """Multiplier i of a solution: the sum of c * x^e over the unknowns (i, e)
-    it owns.  The exponents of one multiplier are distinct, so its terms are
-    set, not summed."""
-    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(count)]
-    for c, (i, e) in zip(coeffs, owners):
-        if c:
-            terms[i][e] = c
-    return tuple(Poly(ctx, t) for t in terms)
-
-
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
@@ -322,31 +338,17 @@ def graded_membership(target: Poly, gens: Sequence[Poly]) -> MembershipResult:
     d = target.total_degree()
     if not target.is_homogeneous():
         raise PolyError("graded membership needs a homogeneous target")
-    columns: list[Poly] = []
-    owners: list[tuple[int, tuple[int, ...]]] = []
-    for i, g in enumerate(gens):
+    exponents: list[list[tuple[int, ...]]] = []
+    for g in gens:
         if g.is_zero():
+            exponents.append([])
             continue
         if not g.is_homogeneous():
             raise PolyError("graded membership needs homogeneous generators")
         dg = g.total_degree()
-        if dg > d:
-            continue
-        for e in monomials_of_degree(ctx, d - dg):
-            columns.append(g * ctx.monomial(e))
-            owners.append((i, e))
-    sol = poly_linear_solve(columns, target)
-    if sol is None:
-        return MembershipResult(False, None)
-    return MembershipResult(True, _multipliers(ctx, len(gens), owners, sol))
-
-
-@dataclass(frozen=True)
-class SyzygyResult:
-    """Solutions h (one tuple of multipliers per gen) of sum h_i gen_i = target."""
-
-    particular: tuple[Poly, ...] | None
-    basis: tuple[tuple[Poly, ...], ...]  # syzygies of the gens within the bound
+        exponents.append(monomials_of_degree(ctx, d - dg) if dg <= d else [])
+    sol = _solve_in_multiples([[g] for g in gens], [target], exponents).particular
+    return MembershipResult(sol is not None, sol)
 
 
 def bounded_syzygy_solve(gens: Sequence[Sequence[Poly] | Poly], target, bound: int) -> SyzygyResult:
@@ -358,26 +360,12 @@ def bounded_syzygy_solve(gens: Sequence[Sequence[Poly] | Poly], target, bound: i
     gvecs: list[list[Poly]] = [[g] if isinstance(g, Poly) else list(g) for g in gens]
     if not gvecs:
         raise PolyError("no generators")
-    ctx = gvecs[0][0].ctx
     coords = len(gvecs[0])
     tvec: list[Poly] = [target] if isinstance(target, Poly) else list(target)
     if len(tvec) != coords or any(len(g) != coords for g in gvecs):
         raise PolyError("generator/target vector lengths disagree")
-    monos = monomials_up_to_degree(ctx, bound)
-    columns: list[list[Poly]] = []
-    owners: list[tuple[int, tuple[int, ...]]] = []
-    for i, g in enumerate(gvecs):
-        for e in monos:
-            m = ctx.monomial(e)
-            columns.append([m * p for p in g])
-            owners.append((i, e))
-    rows, rhs = _coefficient_system(columns, tvec)
-
-    particular, kernel = _solve(rows, rhs, len(columns))
-    return SyzygyResult(
-        _multipliers(ctx, len(gvecs), owners, particular) if particular is not None else None,
-        tuple(_multipliers(ctx, len(gvecs), owners, v) for v in kernel),
-    )
+    monos = monomials_up_to_degree(gvecs[0][0].ctx, bound)
+    return _solve_in_multiples(gvecs, tvec, [monos] * len(gvecs))
 
 
 # ---------------------------------------------------------------------------

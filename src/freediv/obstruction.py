@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .poly import Poly, poly_product, poly_to_str, substitute
-from .linalg import fraction_det, graded_membership, poly_linear_solve, rref
+from .poly import Poly, _integer_form, poly_product, poly_to_str, substitute
+from .linalg import _solve_in_multiples, fraction_det, graded_membership, rref
 from .saito import (
     PreconditionError,
     xifi_generators,
@@ -126,9 +127,10 @@ def scalar_membership_obstruction(f: Poly) -> Membership:
     """Decide x_1 * ... * x_min(k,n) against the span of the x_i * df/dx_i.
 
     For k <= n the target has degree k, equal to the generators' degree, so
-    ideal membership at that degree reduces to a scalar linear solve; the
-    witness is the exact coefficient vector when it exists.  For k > n the
-    target x_1...x_n has degree n below every generator: no membership.
+    ideal membership at that degree is the graded solve with constant
+    multipliers; the witness is their exact values when a solution exists.
+    For k > n the target x_1...x_n has degree n below every generator: no
+    membership.
     """
     ctx = f.ctx
     n = ctx.nvars
@@ -142,9 +144,9 @@ def scalar_membership_obstruction(f: Poly) -> Membership:
             f"degree count: the target x_1...x_{n} has degree {n} below the "
             f"generator degree {k}, and the ideal has no elements there",
         )
-    gens = xifi_generators(f)
     target = ctx.monomial(tuple(1 if i < k else 0 for i in range(n)))
-    sol = poly_linear_solve(gens, target)
+    sol = _solve_in_multiples([[g] for g in xifi_generators(f)], [target],
+                              [[(0,) * n]] * n).particular
     if sol is None:
         return Membership(
             False,
@@ -154,7 +156,7 @@ def scalar_membership_obstruction(f: Poly) -> Membership:
         )
     return Membership(
         True,
-        tuple(sol),
+        tuple(h.constant_value() for h in sol),
         f"{poly_to_str(target)} equals the displayed scalar combination of "
         "the x_i * df/dx_i",
     )
@@ -306,15 +308,19 @@ def smooth_times_nc_verdict(
     reduced, _ = rref([row + [Fraction(int(i == j)) for j in range(n)]
                        for i, row in enumerate(coeff_rows)])
     inverse = [row[n:] for row in reduced]
+    # L * L^-1 = I, on the integer forms of the rows of L and the columns of
+    # L^-1: then each ell_i becomes x_i under the new coordinates
+    columns = [_integer_form(col) for col in zip(*inverse)]
+    for i, (d_row, row) in enumerate(map(_integer_form, coeff_rows)):
+        for j, (d_col, col) in enumerate(columns):
+            if sum(map(mul, row, col)) != (d_row * d_col if i == j else 0):
+                raise InternalCheckError(
+                    "the coordinate change does not straighten the linear forms"
+                )
     new_coords = [
         ctx.sum(ctx.var(ctx.names[j]).scale(inverse[i][j]) for j in range(n))
         for i in range(n)
     ]
-    for i, ell in enumerate(ells):
-        if substitute(ell, new_coords) != ctx.var(ctx.names[i]):
-            raise InternalCheckError(
-                "the coordinate change does not straighten the linear forms"
-            )
     f_t = substitute(f, new_coords)
 
     membership = scalar_membership_obstruction(f_t)

@@ -16,9 +16,7 @@ from freediv.linalg import (
     koszul_homotopy_1cycle,
     monomials_of_degree,
     monomials_up_to_degree,
-    poly_linear_solve,
     rref,
-    solve_linear,
     two_weight_annihilator,
 )
 from freediv.matrices import PolyMatrix
@@ -46,10 +44,10 @@ def test_rref_oracle():
 
 
 def test_solve_linear_oracles():
-    assert solve_linear([[F(2), F(1)], [F(0), F(3)]], [F(5), F(6)]) == [F(3, 2), F(2)]
-    assert solve_linear([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]) is None
+    assert _solve([[F(2), F(1)], [F(0), F(3)]], [F(5), F(6)], 2)[0] == [F(3, 2), F(2)]
+    assert _solve([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)], 2)[0] is None
     # underdetermined: free variables pinned to zero
-    assert solve_linear([[F(1), F(1), F(1)]], [F(3)]) == [F(3), F(0), F(0)]
+    assert _solve([[F(1), F(1), F(1)]], [F(3)], 3)[0] == [F(3), F(0), F(0)]
 
 
 def test_nullspace_oracle_and_normalization():

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from freediv.poly import Context, parse_poly, poly_to_str, substitute
-from freediv.linalg import monomials_of_degree, rref
+import freediv.obstruction
+from freediv.linalg import graded_membership, monomials_of_degree, rref
 from freediv.saito import (
     PreconditionError,
     VerificationError,
@@ -134,6 +135,45 @@ class TestScalarMembership:
         res = scalar_membership_obstruction(parse_poly("x^4 + y^4 + z^4", CTX3))
         assert not res.member
         assert "degree count" in res.reason
+
+    def test_witness_is_the_constant_graded_multipliers(self):
+        # the scalar solve is the degree-matched graded solve: its witness is
+        # the constant multipliers of graded_membership, on named forms, on
+        # seeded squarefree quadrics (members when every coefficient is
+        # nonzero) and on seeded forms after a signed I + J change of
+        # coordinates (mostly not members)
+        rng = make_rng(73)
+        forms = [FERMAT, QUADRIC, CYCLIC, parse_poly("x*y*z + x^3", CTX3),
+                 parse_poly("x^4 + y^4 + z^4", CTX3)]
+        for _ in range(6):
+            forms.append(CTX3.sum(
+                CTX3.monomial(e, Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+                for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))))
+        for _ in range(12):
+            k = rng.choice((2, 3))
+            monos = rng.sample(monomials_of_degree(CTX3, k), rng.randint(2, 5))
+            f = CTX3.sum(CTX3.monomial(e, Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+                         for e in monos)
+            perm = rng.sample(range(3), 3)
+            s, t = ([rng.choice((-1, 1)) for _ in range(3)] for _ in range(2))
+            coords = [CTX3.sum(CTX3.gens()[perm[j]].scale(s[i] * t[j] * (2 if i == j else 1))
+                               for j in range(3)) for i in range(3)]
+            forms.append(substitute(f, coords))
+        members = 0
+        for f in forms:
+            k = f.total_degree()
+            gens = xifi_generators(f)
+            target = CTX3.monomial(tuple(int(i < k) for i in range(3)))
+            res = scalar_membership_obstruction(f)
+            graded = graded_membership(target, gens)
+            assert res.member == graded.member, f
+            if not res.member:
+                assert res.witness is None
+                continue
+            members += 1
+            assert res.witness == tuple(h.constant_value() for h in graded.multipliers), f
+            assert CTX3.sum(g.scale(c) for g, c in zip(gens, res.witness)) == target, f
+        assert members >= 8
 
     def test_rejects_constant(self):
         with pytest.raises(PreconditionError):
@@ -303,6 +343,21 @@ class TestSmoothTimesNcVerdict:
         x, y, z = CTX3.gens()
         with pytest.raises(PreconditionError):
             smooth_times_nc_verdict(FERMAT, (x * x, y, z), True)
+
+    def test_corrupted_inverse_fails_the_straightening(self, monkeypatch):
+        ells = [parse_poly(t, CTX3) for t in ("1/2*x + y", "y - 1/3*z", "x + z")]
+        smooth_times_nc_verdict(FERMAT, ells, True)
+        rref_exact = freediv.obstruction.rref
+
+        def corrupted(rows):
+            red, pivots = rref_exact(rows)
+            if len(rows[0]) == 2 * len(rows):  # [L | I] reduced to [I | L^-1]
+                red[1][-1] += Fraction(1, 5)
+            return red, pivots
+
+        monkeypatch.setattr(freediv.obstruction, "rref", corrupted)
+        with pytest.raises(InternalCheckError, match="does not straighten"):
+            smooth_times_nc_verdict(FERMAT, ells, True)
 
     def test_not_free_requires_violation(self):
         with pytest.raises(InternalCheckError):

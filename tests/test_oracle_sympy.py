@@ -3,7 +3,7 @@ squarefreeness and its gcd for common factors, on seeded random polynomials
 with and without planted squares and factors; its polynomial product, exact division, gcd and determinant for
 `Poly.__mul__`, `divide_exact`, `poly_gcd` and `PolyMatrix.det`; its
 substitution for `substitute` under invertible linear changes of coordinates; its exact
-row reduction for rref, the kernel basis of `_solve` and solve_linear, on derandomized sparse
+row reduction for rref and for the solution and kernel basis of `_solve`, on derandomized sparse
 and dense rational systems; and its determinant for the integer elimination
 of `fraction_det`, beside the Fraction loop that elimination replaced."""
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freediv.linalg import _solve, fraction_det, rref, solve_linear
+from freediv.linalg import _solve, fraction_det, rref
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
     Context, Poly, coprime_on_line, divide_exact, normalize_primitive, poly_gcd, squarefree_gcd,
@@ -253,7 +253,7 @@ def test_det_agrees_with_sympy():
 
 
 # ---------------------------------------------------------------------------
-# exact row reduction: rref, the kernel basis and solve_linear against sympy
+# exact row reduction: rref, and the solution and kernel basis of _solve, against sympy
 # ---------------------------------------------------------------------------
 
 
@@ -320,7 +320,6 @@ def test_solve_linear_agrees_with_sympy(consistent):
     seen = 0
     for rows in _systems(92 + consistent):
         if not rows:
-            assert solve_linear(rows, []) == []
             continue
         m = sympy.Matrix(rows)
         if consistent:
@@ -331,7 +330,7 @@ def test_solve_linear_agrees_with_sympy(consistent):
             if m.rank() == m.row_join(sympy.Matrix(rhs)).rank():
                 continue
         b = sympy.Matrix(rhs)
-        got = solve_linear(rows, rhs)
+        got = _solve(rows, rhs, len(rows[0]))[0]
         if consistent:
             sol, params = m.gauss_jordan_solve(b)
             expected = sol.subs({t: 0 for t in params})  # free variables set to zero

@@ -7,7 +7,11 @@ that reads `.numerator` or `.denominator`.  The line certificate
 `SaitoCertificate` is built by the verification core `saito._verify_factors`.
 And one function of `poly.py`, `_mul_loop`, holds the term-by-term product
 loop, which only `Poly.__mul__` and the product chain `_sum_of_products`
-call."""
+call.  One private core of `linalg.py`, `_solve_in_multiples`, builds and
+solves the system of every solve in multiples of given polynomials (graded
+membership, bounded syzygies, the scalar obstruction): it alone calls
+`_coefficient_system`, it and `euler_annihilators` alone call `_solve`, and
+`obstruction.py` substitutes only to build the transformed form."""
 from __future__ import annotations
 
 import ast
@@ -135,3 +139,17 @@ def test_only_the_product_and_the_chain_call_the_product_loop():
     # with a pack, loop and unpack of their own
     calls = {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, "_mul_loop")}
     assert calls == {("poly.py", "__mul__"), ("poly.py", "_sum_of_products")}
+
+
+def test_one_core_solves_in_multiples():
+    # graded_membership, bounded_syzygy_solve and scalar_membership_obstruction
+    # build no columns and read no solution of their own; the straightening
+    # of the linear forms is checked on integer rows, not by substitution
+    def scopes(name):
+        return {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, name)}
+    assert scopes("_coefficient_system") == {("linalg.py", "_solve_in_multiples")}
+    assert scopes("_solve") == {("linalg.py", "_solve_in_multiples"),
+                                ("linalg.py", "euler_annihilators")}
+    obstruction = next(p for p in MODULES if p.name == "obstruction.py")
+    assert [scope for scope, _, _ in _calls(obstruction, "substitute")] == [
+        "smooth_times_nc_verdict"]
