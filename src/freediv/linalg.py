@@ -20,11 +20,13 @@ augmented [A | b] and reads both the solution with free variables set to
 zero and the kernel basis of A from it, because the pivots of [A | b] left
 of its last column are exactly those of A.
 
-`fraction_det`, the point determinant of Saito's lemma and of the minors
-lemma in `saito`, is fraction-free Bareiss elimination (E. H. Bareiss,
+`_bareiss` is fraction-free Bareiss elimination (E. H. Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968) on the rows scaled to integers: every
-division is exact, and the only Fraction is the one it returns.
+elimination", Math. Comp. 22, 1968) on an integer matrix: every division is
+exact.  It is the one elimination behind `fraction_det`, which scales each
+rational row to integers and builds one Fraction at the end, and behind the
+point determinants of Saito's lemma and of the minors lemma in `saito`,
+which evaluate the integer columns of a matrix at an integer point.
 """
 from __future__ import annotations
 
@@ -119,26 +121,16 @@ def _eliminate(row: dict[int, Fraction], c: int, rest: list[tuple[int, Fraction]
             row[k] = -f * v
 
 
-def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by fraction-free elimination.
-
-    Each row is scaled by the lcm of its denominators, so that the integer
-    determinant is den times the rational one; Bareiss elimination then
-    divides every updated entry exactly by the previous pivot, and one
-    Fraction is built at the end.
-    """
-    den = 1
-    m = []
-    for r in rows:
-        d, nums = _integer_form(r)
-        den *= d
-        m.append(nums)
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination,
+    overwriting m: each updated entry is divided exactly by the previous
+    pivot, so every entry stays an integer; 1 for no rows."""
     n = len(m)
     sign, prev = 1, 1
     for c in range(n):
         pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
-            return Fraction(0)
+            return 0
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             sign = -sign
@@ -148,7 +140,23 @@ def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
             for j in range(c + 1, n):
                 row[j] = (pivot * row[j] - lead * top[j]) // prev
         prev = pivot
-    return Fraction(sign * prev, den)
+    return sign * prev
+
+
+def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix by fraction-free elimination.
+
+    Each row is scaled by the lcm of its denominators, so that the integer
+    determinant of _bareiss is den times the rational one, and one Fraction
+    is built at the end.
+    """
+    den = 1
+    m = []
+    for r in rows:
+        d, nums = _integer_form(r)
+        den *= d
+        m.append(nums)
+    return Fraction(_bareiss(m), den)
 
 
 def _normalize_integer_vector(v: Vec) -> Vec:

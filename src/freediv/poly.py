@@ -16,13 +16,19 @@ packed into one int, in the one product loop _mul_loop; a sum of products
 the one chain _sum_of_products, in that packed form from the first factor to
 the result and summed over one common denominator; exact division divides
 integer numerators by the primitive integer form of the divisor, in one
-remainder updated in place; evaluation sums integer numerators over the
-common denominator; the line certificate evaluates the numerators mod a
-prime, and runs only where the monomial content and the term count (the
-support certificate of squarefree_gcd) leave squarefreeness open; weighted
-degrees sum exponents times the weights in integer form.  Each builds
+remainder updated in place (_divide_loop); evaluation sums integer numerators
+over the common denominator, with one table of powers for any number of
+polynomials (_evaluate_rows); the line certificate evaluates the numerators
+mod a prime, and runs only where the monomial content and the term count
+(the support certificate of squarefree_gcd) leave squarefreeness open;
+weighted degrees sum exponents times the weights in integer form.  The
+logarithmic-column check of Saito's criterion, _gradient_quotients, takes
+the columns of a matrix in integer form (_integer_columns, once per matrix)
+and the primitive part of the divisor, sums every image (grad g) . A_j from
+packed products in _mul_loop and divides it in _divide_loop.  Each builds
 Fractions only for what it returns.  Every sum of polynomials, `+` included,
-is Context.sum: the terms accumulate in one dict, not in a copy per addition.
+is Context.sum: the terms accumulate in one dict (_add_into, which the
+integer sums share), not in a copy per addition.
 
 This module is the only one that reads Poly.terms; the rest of freediv goes
 through Poly's methods (items, coeff, support, lead_exponent, num_terms), so
@@ -150,14 +156,8 @@ class Context:
                 raise PolyError(f"context mismatch: {self} vs {p.ctx}")
             if terms is None:
                 terms = dict(p.terms)
-                continue
-            for e, c in p.terms.items():
-                if e in terms:
-                    c += terms[e]
-                    if not c:
-                        del terms[e]
-                        continue
-                terms[e] = c
+            else:
+                _add_into(terms, p.terms)
         return Poly(self, terms or {})
 
     def __eq__(self, other) -> bool:
@@ -359,18 +359,8 @@ class Poly:
         """The exact value at a point."""
         if len(point) != self.ctx.nvars:
             raise PolyError(f"{self.ctx.nvars} coordinates required, got {len(point)}")
-        # the value is (sum of integer numerator * monomial value) / den
         den, nums = _integer_form(self.terms.values())
-        powers: list[dict[int, object]] = [{} for _ in point]
-        total = 0
-        for e, m in zip(self.terms, nums):
-            for i, k in enumerate(e):
-                if k:
-                    pw = powers[i].get(k)
-                    if pw is None:
-                        pw = powers[i][k] = point[i] ** k
-                    m = m * pw
-            total += m
+        ((_, (total,)),) = _evaluate_rows([(den, [dict(zip(self.terms, nums))])], point)
         return Fraction(total, den)
 
     def _weights(self, weights: Sequence) -> list[Fraction]:
@@ -445,9 +435,9 @@ def _mul_monomial(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> d
     return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
 
 
-def _top(terms: dict[Exponent, Fraction]) -> int:
-    """The largest exponent of any variable in the terms; 0 for no terms or
-    no variables."""
+def _top(terms: Iterable[Exponent]) -> int:
+    """The largest exponent of any variable in the terms (their exponents);
+    0 for no terms or no variables."""
     return max(chain.from_iterable(terms), default=0)
 
 
@@ -483,6 +473,19 @@ def _from_packed(den: int, acc: dict[int, int], unpack) -> dict[Exponent, Fracti
     if den == 1:
         return {unpack(k): Fraction(v) for k, v in acc.items()}
     return {unpack(k): Fraction(v, den) for k, v in acc.items()}
+
+
+def _add_into(acc: dict, terms: dict) -> None:
+    """Add the terms into acc in place, the sum of Context.sum: a sum that
+    cancels is deleted, and inserted again if its key reappears, so acc ends
+    with the terms and term order of the left-to-right fold."""
+    for k, v in terms.items():
+        if k in acc:
+            v += acc[k]
+            if not v:
+                del acc[k]
+                continue
+        acc[k] = v
 
 
 def _mul_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -548,16 +551,35 @@ def _sum_of_products(ctx: Context, terms: Sequence[tuple[Exponent, Fraction | in
                     cache.append(_mul_loop(cache[-1], cache[1]))
                 t = _mul_loop(t, cache[k])
         if acc is None:
-            acc, get = t, t.get
-            continue
-        # Context.sum: in place, a cancelled sum deleted
-        for k, v in t.items():
-            v += get(k, 0)
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
+            acc = t
+        else:
+            _add_into(acc, t)
     return Poly(ctx, _from_packed(den_h * den, acc or {}, unpack))
+
+
+def _evaluate_rows(rows: Iterable[tuple[int, Sequence[dict[Exponent, int]]]], point: Sequence
+                   ) -> list[tuple[int, list]]:
+    """Each row (den, polys), the terms of every polynomial in polys as
+    integer numerators over den, as (den, values): values[i] is den times the
+    value of polys[i] at the point, an int at an integer point.  One table of
+    the powers of the coordinates serves every polynomial."""
+    powers: list[dict[int, object]] = [{} for _ in point]
+    out = []
+    for den, polys in rows:
+        values = []
+        for terms in polys:
+            total = 0
+            for e, m in terms.items():
+                for i, k in enumerate(e):
+                    if k:
+                        pw = powers[i].get(k)
+                        if pw is None:
+                            pw = powers[i][k] = point[i] ** k
+                        m = m * pw
+                total += m
+            values.append(total)
+        out.append((den, values))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -565,30 +587,19 @@ def _sum_of_products(ctx: Context, terms: Sequence[tuple[Exponent, Fraction | in
 # ---------------------------------------------------------------------------
 
 
-def divide_exact(g: Poly, f: Poly) -> Poly | None:
-    """g / f when f divides g exactly, else None.
+def _divide_loop(r: dict[Exponent, int], fs: dict[Exponent, int], lf: Exponent
+                 ) -> dict[Exponent, int] | None:
+    """The quotient R / F over Z, its terms in descending grevlex order, or
+    None when F does not divide R.  r holds R and is the remainder, updated
+    in place; fs holds F, primitive over Z, with leading exponent lf.
 
-    Single-divisor division on integers.  Write f = (content/den) * F with F
-    primitive over Z and g = G/den_g with G over Z.  If F divides G then, by
-    Gauss's lemma, G/F has integer coefficients, and each step of the
-    division produces the next of them: the leading term of the remainder
-    is that coefficient times the leading term of F.  So the first step
-    whose leading exponent or coefficient does not divide certifies
-    non-divisibility.  The remainder is one dict, updated in place.
+    If F divides R then, by Gauss's lemma, R / F has integer coefficients,
+    and each step of the division produces the next of them: the leading
+    term of the remainder is that coefficient times the leading term of F.
+    So the first step whose leading exponent or coefficient does not divide
+    certifies non-divisibility.
     """
-    if g.ctx != f.ctx:
-        raise PolyError("context mismatch in divide_exact")
-    if f.is_zero():
-        raise PolyError("division by the zero polynomial")
-    if g.is_zero():
-        return g.ctx.zero()
-    lf = f.lead_exponent()
-    den_f, nf = _integer_form(f.terms.values())
-    content = int_gcd(*nf)
-    fs = {e: v // content for e, v in zip(f.terms, nf)}
     lead = fs[lf]
-    den_g, ng = _integer_form(g.terms.values())
-    r = dict(zip(g.terms, ng))
     get = r.get
     q: dict[Exponent, int] = {}
     while r:
@@ -607,9 +618,90 @@ def divide_exact(g: Poly, f: Poly) -> Poly | None:
                 r[k] = v
             else:
                 del r[k]
+    return q
+
+
+def _primitive_part(f: Poly) -> tuple[int, int, dict[Exponent, int]]:
+    """(den, content, F) with f = (content / den) * F and F primitive over Z,
+    its terms in the storage order of f; f nonzero."""
+    den, nums = _integer_form(f.terms.values())
+    content = int_gcd(*nums)
+    return den, content, {e: v // content for e, v in zip(f.terms, nums)}
+
+
+def divide_exact(g: Poly, f: Poly) -> Poly | None:
+    """g / f when f divides g exactly, else None.
+
+    Single-divisor division on integers: with f = (content/den) * F, F
+    primitive over Z, and g = G/den_g, G over Z, the remainder loop
+    _divide_loop divides G by F.
+    """
+    if g.ctx != f.ctx:
+        raise PolyError("context mismatch in divide_exact")
+    if f.is_zero():
+        raise PolyError("division by the zero polynomial")
+    if g.is_zero():
+        return g.ctx.zero()
+    den_f, content, fs = _primitive_part(f)
+    den_g, ng = _integer_form(g.terms.values())
+    q = _divide_loop(dict(zip(g.terms, ng)), fs, f.lead_exponent())
+    if q is None:
+        return None
     # g / f = (G / F) * den_f / (den_g * content)
     den = den_g * content
     return Poly(f.ctx, {e: Fraction(c * den_f, den) for e, c in q.items()})
+
+
+def _integer_columns(columns: Iterable[Sequence[Poly]]) -> list[tuple[int, list[dict[Exponent, int]]]]:
+    """Each column of polynomials as (den, entries): den the lcm of the
+    denominators of all the column's coefficients, and each entry's terms as
+    integer numerators over den, in storage order."""
+    out = []
+    for col in columns:
+        den, nums = _integer_form([c for a in col for c in a.terms.values()])
+        it = iter(nums)
+        out.append((den, [dict(zip(a.terms, it)) for a in col]))
+    return out
+
+
+def _gradient_quotients(g: Poly, columns: Sequence[tuple[int, list[dict[Exponent, int]]]]
+                        ) -> list[Poly] | int:
+    """The q_j with (grad g) . A_j = q_j * g, in column order, for the columns
+    A_j in the form of _integer_columns; or the index j of the first column
+    whose image g does not divide.  g is nonzero.
+
+    With g = (content/den) * G, G primitive over Z, and A_j = N_j / D_j, N_j
+    over Z, the scalars of g cancel: q_j = ((grad G) . N_j) / (D_j * G).  So
+    the image (grad G) . N_j is summed over Z, the gradient of G taken on its
+    integer terms and packed once, each product in _mul_loop, and divided by
+    G in the remainder loop of divide_exact, _divide_loop.  Fractions are
+    built for the quotients only.  Each q_j has the terms, values and term
+    order of divide_exact((grad g) . A_j, g): the division produces the
+    quotient in descending grevlex order whatever the order of the image.
+    """
+    _, _, prim = _primitive_part(g)
+    lf = g.lead_exponent()
+    n = g.ctx.nvars
+    top = _top(chain.from_iterable(a for _, col in columns for a in col))
+    pack, unpack = _codec(n, _top(prim) + top)
+    units = [pack((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+    grad: list[dict[int, int]] = [{} for _ in range(n)]
+    for e, v in prim.items():
+        k = pack(e)
+        for i, x in enumerate(e):
+            if x:
+                grad[i][k - units[i]] = v * x
+    out = []
+    for j, (den, col) in enumerate(columns):
+        image: dict[int, int] = {}
+        for d, a in zip(grad, col):
+            if d and a:
+                _add_into(image, _mul_loop(d, {pack(e): v for e, v in a.items()}))
+        q = _divide_loop({unpack(k): v for k, v in image.items()}, prim, lf)
+        if q is None:
+            return j
+        out.append(Poly(g.ctx, {e: Fraction(c, den) for e, c in q.items()}))
+    return out
 
 
 def normalize_primitive(p: Poly) -> Poly:

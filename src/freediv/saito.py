@@ -14,21 +14,33 @@ without its monomial content, and falls back to the multivariate gcd.
 (iii) is checked by exact division, factor by factor when the divisor is
 known as a product (frame_divisor, the jet extensions, the x_1...x_n f
 multiples); _verify_factors proves that exact, and verify_saito is its
-one-factor case.  For (ii), Saito's lemma (K. Saito,
+one-factor case.  Both checks below run on integers: the entries of A are put
+in integer form once per verification, column j as integer numerators over
+the lcm D_j of its denominators (poly._integer_columns).  For a factor
+g = (content/den) * G, G primitive over Z, poly._gradient_quotients sums each
+image (grad G) . (D_j A_j) over Z and divides it by G in the remainder loop
+of divide_exact; by Gauss's lemma the quotient is over Z when G divides, and
+q_j is that quotient over D_j.  Fractions are built for the quotients only,
+and the image of a failing column is built as a polynomial (left_apply) only
+for its error message.  For (ii), Saito's lemma (K. Saito,
 "Theory of logarithmic differential forms and logarithmic vector fields",
 J. Fac. Sci. Univ. Tokyo 27, 1980, (1.8)) gives f | det A once (i) and (iii)
 hold; when in addition the degree bound min(sum_j max_i deg A_ij,
 sum_i max_j deg A_ij) is at most deg f, det A = c * f with c constant, and c
-is read exactly as det A(p) / f(p) at a fixed rational point p with
-f(p) != 0; c = 0 proves det A = 0, a det_mismatch.  Otherwise (bound too
-large, no such point among the fixed candidates, or a column not
-logarithmic) det A is expanded by the Bareiss / cofactor determinant,
-exactly as without the lemma.
+is read exactly as det A(p) / f(p) at a fixed integer point p with
+f(p) != 0: f and the integer columns are evaluated at p with one table of
+powers (poly._evaluate_rows), and det A(p) is the integer Bareiss
+determinant (linalg._bareiss) of those columns over the product of the D_j,
+so c is the only Fraction built.  c = 0 proves det A = 0, a det_mismatch.
+Otherwise (bound too large, no such point among the fixed candidates, or a
+column not logarithmic) det A is expanded by the Bareiss / cofactor
+determinant, exactly as without the lemma.
 
-minors_scalar proves a Hilbert-Burch matrix the same way: when B^T grad f = 0,
-the partials are certified coprime on the line (poly.coprime_on_line) and a
-row passes the degree bound, the signed maximal minors are a constant times
-grad f, read at one point; otherwise the n minors are expanded.
+minors_scalar proves a Hilbert-Burch matrix the same way, with the same two
+kernels: when B^T grad f = 0 (every column quotient by f zero), the partials
+are certified coprime on the line (poly.coprime_on_line) and a row passes the
+degree bound, the signed maximal minors are a constant times grad f, read at
+one point; otherwise the n minors are expanded.
 
 A FramedDivisor couples a factored divisor with a verified Saito matrix plus
 the exact per-column, per-factor logarithmic multipliers, which are the
@@ -42,13 +54,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
-from .linalg import bounded_syzygy_solve, fraction_det
+from .linalg import _bareiss, bounded_syzygy_solve
 from .matrices import InternalCheckError, PolyMatrix, matrix_to_json
 from .poly import (
     Context,
     Poly,
+    _evaluate_rows,
+    _gradient_quotients,
+    _integer_columns,
     coprime_on_line,
     divide_exact,
     poly_product,
@@ -108,21 +124,28 @@ def _degree_bound(matrix: PolyMatrix) -> int:
     return min(sum(max(col) for col in zip(*degs)), sum(max(row) for row in degs))
 
 
-def _ratio_at_point(matrix: PolyMatrix, g: Poly) -> Fraction | None:
-    """det(matrix)(p) / g(p) at the first candidate point p with g(p) != 0.
+def _ratio_at_point(columns: list, g: Poly) -> Fraction | None:
+    """det(A)(p) / g(p) at the first candidate point p with g(p) != 0, for
+    the square matrix A whose columns are given in the integer form of
+    poly._integer_columns; None when no candidate has g(p) != 0.
 
-    None when no candidate has g(p) != 0.
+    g and the columns are evaluated with one table of powers; det(A)(p) is
+    the integer determinant of _bareiss over the product of the column
+    denominators (the columns of A as the rows of its transpose).
     """
+    (at,) = _integer_columns([(g,)])  # g as a one-entry column
     for salt in range(_POINT_TRIES):
         point = sample_ints(g.ctx.nvars, _POINT_BOUND, salt)
-        at_g = g.evaluate(point)
+        (den_g, (at_g,)), *rows = _evaluate_rows([at, *columns], point)
         if at_g:
-            return fraction_det([[a.evaluate(point) for a in row] for row in matrix.rows]) / at_g
+            det = _bareiss([values for _, values in rows])
+            return Fraction(det * den_g, prod(den for den, _ in rows) * at_g)
     return None
 
 
-def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix) -> Fraction | None:
-    """c with det A = c * f for a reduced f and logarithmic columns, or None.
+def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix, columns: list) -> Fraction | None:
+    """c with det A = c * f for a reduced f and logarithmic columns, or None;
+    columns are those of A in the integer form of poly._integer_columns.
 
     Saito's lemma gives f | det A.  If every term of det A has degree at most
     deg f (the row and column degree bounds), the quotient is a constant c,
@@ -132,19 +155,7 @@ def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix) -> Fraction | None:
     """
     if _degree_bound(matrix) > f.total_degree():
         return None
-    return _ratio_at_point(matrix, f)
-
-
-def _column_quotients(g: Poly, matrix: PolyMatrix) -> tuple[list[Poly], tuple[int, Poly] | None]:
-    """The q_j with (grad g) . A_j = q_j * g in column order, up to the first
-    column j that fails, which is returned as (j, (grad g) . A_j)."""
-    quotients = []
-    for j, applied in enumerate(matrix.left_apply(g.gradient())):
-        q = divide_exact(applied, g)
-        if q is None:
-            return quotients, (j, applied)
-        quotients.append(q)
-    return quotients, None
+    return _ratio_at_point(columns, f)
 
 
 def _verify_factors(factors: Sequence[Poly], matrix: PolyMatrix
@@ -182,17 +193,19 @@ def _verify_factors(factors: Sequence[Poly], matrix: PolyMatrix
             f"divisor has the repeated factor witness {poly_to_str(witness)}",
             witness=witness,
         )
+    columns = _integer_columns(matrix.cols())
     per_factor, failed = [], None
     for g in factors:
-        quotients, failed = _column_quotients(g, matrix)
-        if failed:
+        quotients = _gradient_quotients(g, columns)
+        if isinstance(quotients, int):
+            failed = quotients
             break
         per_factor.append(quotients)
-    if failed and len(factors) > 1:
-        _, failed = _column_quotients(f, matrix)
-        if failed is None:
+    if failed is not None and len(factors) > 1:
+        failed = _gradient_quotients(f, columns)
+        if not isinstance(failed, int):
             raise InternalCheckError("a column logarithmic for the reduced product fails on a factor")
-    scalar = None if failed else _det_scalar_by_lemma(f, matrix)
+    scalar = None if failed is not None else _det_scalar_by_lemma(f, matrix, columns)
     det = f.ctx.zero()  # what a zero scalar proves
     if scalar is None:
         det = matrix.det()
@@ -204,13 +217,13 @@ def _verify_factors(factors: Sequence[Poly], matrix: PolyMatrix
             "det_mismatch",
             f"determinant {poly_to_str(det)} is not a nonzero rational multiple of the divisor",
         )
-    if failed:
-        j, applied = failed
+    if failed is not None:
+        applied = matrix.left_apply(f.gradient())[failed]
         raise VerificationError(
             "not_logarithmic",
-            f"column {j} applied to the divisor gives {poly_to_str(applied)}, "
+            f"column {failed} applied to the divisor gives {poly_to_str(applied)}, "
             f"not a multiple of the divisor",
-            column=j,
+            column=failed,
         )
     table = tuple(zip(*per_factor))
     log_quotients = tuple(f.ctx.sum(row) for row in table)
@@ -391,11 +404,14 @@ def _minors_scalar_by_lemma(matrix: PolyMatrix, f: Poly) -> Fraction | None:
                 and _degree_bound(matrix.drop_row(i)) <= g.total_degree()), None)
     if row is None:
         return None
-    if any(not v.is_zero() for v in matrix.left_apply(grad)):
+    # B^T grad f = 0 exactly when every quotient by f is zero
+    columns = _integer_columns(matrix.cols())
+    quotients = _gradient_quotients(f, columns)
+    if isinstance(quotients, int) or any(not q.is_zero() for q in quotients):
         return None
     if not coprime_on_line([g for g in grad if not g.is_zero()]):
         return None
-    lam = _ratio_at_point(matrix.drop_row(row), grad[row])
+    lam = _ratio_at_point([(den, col[:row] + col[row + 1:]) for den, col in columns], grad[row])
     if not lam:
         return None
     return -lam if row % 2 else lam

@@ -5,7 +5,9 @@ with and without planted squares and factors; its polynomial product, exact divi
 substitution for `substitute` under invertible linear changes of coordinates; its exact
 row reduction for rref and for the solution and kernel basis of `_solve`, on derandomized sparse
 and dense rational systems; and its determinant for the integer elimination
-of `fraction_det`, beside the Fraction loop that elimination replaced."""
+of `fraction_det`, beside the Fraction loop that elimination replaced, and
+for the integer Bareiss loop `_bareiss` behind it and behind the point
+determinants of `saito`."""
 from __future__ import annotations
 
 import math
@@ -14,11 +16,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freediv.linalg import _solve, fraction_det, rref
+from freediv.linalg import _bareiss, _solve, fraction_det, rref
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
-    Context, Poly, coprime_on_line, divide_exact, normalize_primitive, poly_gcd, squarefree_gcd,
-    squarefree_on_line, substitute,
+    Context, Poly, _integer_form, coprime_on_line, divide_exact, normalize_primitive, poly_gcd,
+    squarefree_gcd, squarefree_on_line, substitute,
 )
 
 from helpers import CASES, make_rng, rand_nonzero, rand_poly
@@ -410,3 +412,20 @@ def test_fraction_det_agrees_with_sympy():
         swapped += bool(rows) and rows[0][0] == 0 and got != 0
     assert singular >= 5 and swapped >= 3
     assert fraction_det([[1, 2], [3, 4]]) == -2  # integer entries are accepted
+
+
+def test_integer_bareiss_agrees_with_sympy():
+    # the rows of the rational matrices scaled to integers, and integer
+    # entries as large as the point determinants of saito meet
+    rng = make_rng(121)
+    matrices = [[_integer_form(r)[1] for r in rows] for rows in _square_matrices(121)]
+    for _ in range(20):
+        n = rng.randint(1, 10)
+        matrices.append([[rng.randint(-97 ** 6, 97 ** 6) for _ in range(n)] for _ in range(n)])
+    singular = 0
+    for m in matrices:
+        expected = int(sympy.Matrix(m).det()) if m else 1
+        got = _bareiss([list(r) for r in m])
+        assert type(got) is int and got == expected, m
+        singular += got == 0
+    assert singular >= 5

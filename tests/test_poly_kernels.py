@@ -1,10 +1,11 @@
 """The integer kernels of `Poly.__mul__`, `divide_exact`, `Poly.evaluate` and
 `Poly.weighted_degree`, the line restriction `_on_line`, the one-dict sums
-of `Context.sum`, and the integer chains of `poly_product` and `substitute`,
+of `Context.sum`, the integer chains of `poly_product` and `substitute`, the
+column kernel `_gradient_quotients` and the point rows of `_evaluate_rows`,
 against the term-by-term Fraction loops they replaced, kept here as the
-reference: same terms, same values and, for products, sums and
-substitutions, the same term order.  `_integer_form`, the one conversion of rational
-coefficients to integers, against its definition."""
+reference: same terms, same values and, for products, sums, substitutions
+and quotients, the same term order.  `_integer_form`, the one conversion of
+rational coefficients to integers, against its definition."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
-    LINE_PRIME, Context, NotHomogeneousError, Poly, PolyError, _exp_div, _integer_form, _interpolate_mod,
-    _on_line, divide_exact, grevlex_key, parse_poly, poly_product, sample_ints, star, substitute,
+    LINE_PRIME, Context, NotHomogeneousError, Poly, PolyError, _evaluate_rows, _exp_div, _gradient_quotients,
+    _integer_columns, _integer_form, _interpolate_mod, _on_line, divide_exact, grevlex_key, parse_poly,
+    poly_product, sample_ints, star, substitute,
 )
 
 from helpers import CASES, make_rng, rand_poly
@@ -604,3 +606,111 @@ def test_a_wrong_length_weight_vector_is_a_weight_error():
     for fn in (p.is_homogeneous, p.euler_apply):
         with pytest.raises(NotHomogeneousError, match="weight vector length mismatch"):
             fn((1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the column kernel and the point rows of Saito's criterion
+# ---------------------------------------------------------------------------
+
+
+def ref_column_quotients(g: Poly, m: PolyMatrix) -> list[Poly] | int:
+    """The reference of _gradient_quotients: each image (grad g) . A_j by
+    ref_left_apply, divided by g in ref_divide_exact; the index of the first
+    image g does not divide."""
+    out = []
+    for j, image in enumerate(ref_left_apply(m, g.gradient())):
+        q = ref_divide_exact(image, g)
+        if q is None:
+            return j
+        out.append(q)
+    return out
+
+
+def _column(data, ctx: Context, product: Poly, kind: str) -> list[Poly]:
+    """A column of the given kind for the product of the factors: a multiple
+    of the product (logarithmic for every factor), a Hamiltonian column of
+    the product in two of the variables (also logarithmic for every
+    factor), zero, or drawn at random (most often not logarithmic)."""
+    n = ctx.nvars
+    if kind == "multiple":
+        return [product * v for v in data.draw(_polys(n, n, _TINY_EXP))]
+    if kind == "hamiltonian" and n >= 2:
+        i, k = data.draw(st.permutations(range(n)))[:2]
+        c = data.draw(_COEFF)
+        col = [ctx.zero()] * n
+        col[i], col[k] = product.derivative(k).scale(c), product.derivative(i).scale(-c)
+        return col
+    if kind == "zero":
+        return [ctx.zero()] * n
+    return data.draw(_polys(n, n, _TINY_EXP))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_column_kernel_agrees_with_the_reference_loops(data):
+    # mixed denominators within a column (every entry of a multiple column
+    # scaled on its own), zero entries, zero partials (a factor free of a
+    # variable), zero columns, several factors and failing columns
+    n = data.draw(st.integers(1, 3))
+    ctx = Context([f"x{i}" for i in range(n)])
+    factors = [g for g in data.draw(_polys(n, data.draw(st.integers(1, 3)), _TINY_EXP))
+               if not g.is_zero()]
+    if not factors:
+        return
+    if n > 1 and data.draw(st.booleans()):
+        factors[0] = Poly(ctx, {e[:-1] + (0,): c for e, c in factors[0].terms.items()})
+    product = poly_product(ctx, factors)
+    kinds = data.draw(st.lists(st.sampled_from(["multiple", "hamiltonian", "zero", "random"]),
+                               min_size=n, max_size=n))
+    cols = [_column(data, ctx, product, kind) for kind in kinds]
+    m = PolyMatrix(ctx, [[col[i] for col in cols] for i in range(n)])
+    columns = _integer_columns(m.cols())
+    for g in [*factors, product]:
+        if g.is_zero():
+            continue
+        got, expected = _gradient_quotients(g, columns), ref_column_quotients(g, m)
+        if isinstance(expected, int):
+            assert got == expected
+        else:
+            assert len(got) == len(expected) and all(map(same, got, expected))
+    point = data.draw(st.lists(st.one_of(st.integers(-3, 3), _COEFF), min_size=n, max_size=n))
+    for (den, values), col in zip(_evaluate_rows(columns, point), cols, strict=True):
+        assert [Fraction(v, den) for v in values] == [ref_evaluate(a, point) for a in col]
+        if all(type(x) is int for x in point):
+            assert all(type(v) is int for v in values)
+
+
+def test_column_kernel_names_the_first_failing_column():
+    # column 0 is logarithmic for x*y, columns 1 and 2 are not: 1 is named
+    f = X * Y
+    m = PolyMatrix(XY, [[X.scale(Fraction(1, 2)), XY.const(1), Y], [Y.scale(Fraction(2, 3)), X, X]])
+    columns = _integer_columns(m.cols())
+    assert ref_column_quotients(f, m) == 1
+    assert _gradient_quotients(f, columns) == 1
+    # for 2*x + y, column 1 has the image 3*x + y: its leading exponent is
+    # divisible and its leading coefficient 3 is not, and the remainder x
+    # left by a rounded step would itself divide away
+    g = X.scale(2) + Y
+    m = PolyMatrix(XY, [[X, X], [Y, X + Y]])
+    assert ref_column_quotients(g, m) == 1
+    assert _gradient_quotients(g, _integer_columns(m.cols())) == 1
+    ok = PolyMatrix(XY, [[X.scale(Fraction(1, 2)), XY.zero()], [Y.scale(Fraction(2, 3)), Y.scale(7)]])
+    got = _gradient_quotients(f, _integer_columns(ok.cols()))
+    assert got == [XY.const(Fraction(7, 6)), XY.const(7)]
+    assert all(map(same, got, ref_column_quotients(f, ok)))
+
+
+@pytest.mark.parametrize("big", [2 ** 70, 127, 128])
+def test_column_kernel_widens_the_fields(big):
+    # x^big - x*y/3 with a multiple column, a Hamiltonian column (image zero)
+    # and a column (x, 0) it does not divide: the packed images outgrow a byte
+    g = XY.monomial((big, 0)) + XY.monomial((1, 1), Fraction(-1, 3))
+    gx, gy = g.gradient()
+    m = PolyMatrix(XY, [[g * X * X, gy, X], [g.scale(Fraction(2, 5)) * Y, -gx, XY.zero()]])
+    expected = ref_column_quotients(g, m)
+    assert expected == 2
+    assert _gradient_quotients(g, _integer_columns(m.cols())) == 2
+    ok = PolyMatrix(XY, [row[:2] for row in m.rows])
+    got, expected = _gradient_quotients(g, _integer_columns(ok.cols())), ref_column_quotients(g, ok)
+    assert len(got) == 2 and all(map(same, got, expected))
+    assert got[1].is_zero() and not got[0].is_zero()

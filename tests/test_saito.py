@@ -325,17 +325,24 @@ def test_frame_divisor_weight_checked():
         frame_divisor(factors, mat, weight=[1, 1])
 
 
-def test_single_factor_frame_reuses_the_certificate_quotients(monkeypatch):
-    calls = []
-    left_apply = PolyMatrix.left_apply
+@pytest.fixture
+def gradient_passes(monkeypatch):
+    """The factor of every pass of a gradient against the columns of a matrix
+    (the kernel poly._gradient_quotients, as saito calls it)."""
+    seen = []
+    kernel = freediv.saito._gradient_quotients
 
-    def counting(self, vector):
-        calls.append(1)
-        return left_apply(self, vector)
+    def recording(g, columns):
+        seen.append(g)
+        return kernel(g, columns)
 
-    monkeypatch.setattr(PolyMatrix, "left_apply", counting)
+    monkeypatch.setattr(freediv.saito, "_gradient_quotients", recording)
+    return seen
+
+
+def test_single_factor_frame_reuses_the_certificate_quotients(gradient_passes):
     fd = brieskorn_seed(2, 3)
-    assert len(calls) == 1
+    assert gradient_passes == [fd.product]
     assert fd.multipliers == tuple((q,) for q in fd.certificate.log_quotients)
 
 
@@ -508,40 +515,45 @@ def test_core_agrees_with_the_product_check_on_perturbed_frames():
 
 
 def test_a_factor_failing_under_a_passing_product_is_an_internal_error(monkeypatch):
-    # unreachable over Q (see _verify_factors): a division that wrongly fails
-    # on the factor y stands in for a fault in the kernel
+    # unreachable over Q (see _verify_factors): a column pass that wrongly
+    # fails on the factor y stands in for a fault in the kernel
     ctx = Context(["x", "y"])
     y = parse_poly("y", ctx)
-    divide = freediv.saito.divide_exact
-    monkeypatch.setattr(freediv.saito, "divide_exact", lambda g, f: None if f == y else divide(g, f))
+    kernel = freediv.saito._gradient_quotients
+    monkeypatch.setattr(freediv.saito, "_gradient_quotients",
+                        lambda g, columns: 1 if g == y else kernel(g, columns))
     with pytest.raises(InternalCheckError):
         frame_divisor([parse_poly("x", ctx), y], M([["x", "0"], ["0", "y"]], ctx))
 
 
 @pytest.fixture
-def divisors(monkeypatch):
-    """The divisor of every divide_exact call made by saito and families."""
+def divisors(monkeypatch, gradient_passes):
+    """The divisor of every divide_exact call made by saito and families, and
+    the factor of every gradient pass, whose column images it divides."""
     seen = []
     divide = freediv.poly.divide_exact
+    kernel = freediv.saito._gradient_quotients
 
     def recording(g, f):
         seen.append(f)
         return divide(g, f)
 
+    def passing(g, columns):
+        seen.append(g)
+        return kernel(g, columns)
+
     for module in (freediv.saito, freediv.families):
         monkeypatch.setattr(module, "divide_exact", recording)
+    monkeypatch.setattr(freediv.saito, "_gradient_quotients", passing)
     return seen
 
 
-def test_a_chain_is_never_divided_by_its_product(divisors, monkeypatch):
-    calls = []
-    left_apply = PolyMatrix.left_apply
-    monkeypatch.setattr(PolyMatrix, "left_apply",
-                        lambda self, vector: calls.append(1) or left_apply(self, vector))
+def test_a_chain_is_never_divided_by_its_product(divisors, gradient_passes):
     fd = brieskorn_chain(2, 3, 2)
     assert fd.product not in divisors
     # one gradient against the columns per factor: the seed's, then the chain's two
-    assert len(calls) == 3
+    assert len(gradient_passes) == 3
+    assert gradient_passes[1:] == list(fd.factors)
 
 
 def test_a_jet_is_never_divided_by_its_product(divisors):

@@ -7,7 +7,13 @@ that reads `.numerator` or `.denominator`.  The line certificate
 `SaitoCertificate` is built by the verification core `saito._verify_factors`.
 And one function of `poly.py`, `_mul_loop`, holds the term-by-term product
 loop, which only `Poly.__mul__` and the product chain `_sum_of_products`
-call.  One private core of `linalg.py`, `_solve_in_multiples`, builds and
+call, or the column kernel `_gradient_quotients`.  One function holds each
+of three more loops: the integer division loop `poly._divide_loop` (behind
+`divide_exact` and the column kernel), the fraction-free integer update
+`linalg._bareiss` (behind `fraction_det` and the point determinants of
+`saito`), and the point-evaluation loop `poly._evaluate_rows` (behind
+`Poly.evaluate` and the same point determinants).  One private core of
+`linalg.py`, `_solve_in_multiples`, builds and
 solves the system of every solve in multiples of given polynomials (graded
 membership, bounded syzygies, the scalar obstruction): it alone calls
 `_coefficient_system`, it and `euler_annihilators` alone call `_solve`, and
@@ -134,11 +140,57 @@ def test_one_function_holds_the_product_loop():
     assert loops == {("poly.py", "_mul_loop")}
 
 
-def test_only_the_product_and_the_chain_call_the_product_loop():
+def test_only_the_product_the_chain_and_the_column_kernel_call_the_product_loop():
     # substitute and poly_product multiply through _sum_of_products, never
-    # with a pack, loop and unpack of their own
+    # with a pack, loop and unpack of their own; the images of the columns
+    # of a Saito matrix are summed from products in _gradient_quotients
     calls = {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, "_mul_loop")}
-    assert calls == {("poly.py", "__mul__"), ("poly.py", "_sum_of_products")}
+    assert calls == {("poly.py", "__mul__"), ("poly.py", "_sum_of_products"),
+                     ("poly.py", "_gradient_quotients")}
+
+
+def _loops_with(path: Path, loop, inner) -> list[tuple[str, int, str]]:
+    """(innermost enclosing function, line, "loop") of every loop node of
+    type loop with a node inside for which inner(node) holds."""
+    def label(node):
+        if isinstance(node, loop) and any(inner(n) for n in ast.walk(node) if n is not node):
+            return "loop"
+        return None
+    return _scan(path, label)
+
+
+def test_one_function_holds_the_integer_division_loop():
+    # divide_exact and the column kernel divide in _divide_loop: a while
+    # loop that takes divmod of the leading coefficient
+    def divmod_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "divmod")
+    loops = {(p.name, scope) for p in MODULES for scope, _, _ in _loops_with(p, ast.While, divmod_call)}
+    assert loops == {("poly.py", "_divide_loop")}
+
+
+def test_one_function_holds_the_bareiss_update():
+    # fraction_det and the point determinants of saito eliminate in _bareiss:
+    # (pivot * a - lead * b) // prev, the fraction-free integer update (the
+    # polynomial determinant of matrices.py divides by divide_exact instead)
+    def update(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+                and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                        for side in (node.left.left, node.left.right)))
+    found = {(p.name, scope) for p in MODULES for scope, _, _ in _scan(p, lambda n: update(n) or None)}
+    assert found == {("linalg.py", "_bareiss")}
+
+
+def test_one_function_holds_the_point_evaluation_loop():
+    # Poly.evaluate and the point determinants of saito evaluate in
+    # _evaluate_rows: a for loop that raises a coordinate of the point,
+    # point[i], to the exponent of a term
+    def power(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Subscript))
+    loops = {(p.name, scope) for p in MODULES for scope, _, _ in _loops_with(p, ast.For, power)}
+    assert loops == {("poly.py", "_evaluate_rows")}
 
 
 def test_one_core_solves_in_multiples():
