@@ -47,7 +47,7 @@ from .poly import (
     substitute,
 )
 from .matrices import InternalCheckError, PolyMatrix, block_diagonal
-from .linalg import euler_annihilators, two_weight_annihilator
+from .linalg import _weighted_coordinates, euler_annihilators, two_weight_annihilator
 from .saito import (
     FramedDivisor,
     FramingError,
@@ -60,7 +60,6 @@ from .saito import (
     euler_frame,
     frame_divisor,
     hilbert_burch_from_framed,
-    minors_scalar,
     verify_saito,
 )
 
@@ -442,6 +441,28 @@ def _euler3_case_one_zero(
     return PolyMatrix(ctx, rows), None
 
 
+_EULER3_MINORS = "signed maximal minors of the constructed matrix do not reproduce the gradient"
+
+
+def _unit_frame(f: Poly, unit: Sequence, b: PolyMatrix) -> FramedDivisor:
+    """The strict frame [E_unit | b] of the reduced f, E_unit(f) = f.
+
+    Its det_scalar is the scalar of the signed maximal minors of b (see
+    saito.hilbert_burch_from_framed, with c0 = 1).  A frame that fails or is
+    not strict is an InternalCheckError: the constructions build annihilators
+    whose minors are a unit multiple of the gradient.
+    """
+    euler_col = _weighted_coordinates(f.ctx, unit)
+    full = PolyMatrix(f.ctx, [(euler_col[i],) + b.rows[i] for i in range(3)])
+    try:
+        fd = frame_divisor([f], full)
+    except VerificationError:
+        raise InternalCheckError(_EULER3_MINORS) from None
+    if column_roles(fd) != ["euler:0", "annihilator", "annihilator"]:
+        raise InternalCheckError(_EULER3_MINORS)
+    return fd
+
+
 def euler3_divisor(f: Poly, e: Sequence) -> FamilyVerdict:
     """Classify a reduced three-variable divisor annihilated by a diagonal field.
 
@@ -516,21 +537,14 @@ def euler3_divisor(f: Poly, e: Sequence) -> FamilyVerdict:
     else:
         b = _euler3_case_all_nonzero(f, e)
         reason = "all coefficients nonzero: diagonal-plus-polar construction succeeded"
-    lam = minors_scalar(b, f)
-    if lam == -1:
+    fd = _unit_frame(f, unit, b)
+    if fd.certificate.det_scalar == -1:
         # every maximal minor of the 3 x 2 matrix holds column 0 once
         b = b.scale_column(0, -1)
-        lam = 1
-    if lam != 1:
-        raise InternalCheckError(
-            "signed maximal minors of the constructed matrix do not reproduce the gradient"
-        )
+        fd = _unit_frame(f, unit, b)
+    if fd.certificate.det_scalar != 1:
+        raise InternalCheckError(_EULER3_MINORS)
     hb = HilbertBurch(f, b, Fraction(1))
-    euler_col = [ctx.var(ctx.names[i]).scale(unit[i]) for i in range(3)]
-    full = PolyMatrix(ctx, [
-        [euler_col[i], b.entry(i, 0), b.entry(i, 1)] for i in range(3)
-    ])
-    fd = frame_divisor([f], full)
     return FamilyVerdict(
         "free",
         reason,
@@ -959,8 +973,9 @@ def multi_jet_extend(
 
     Here f^(j) = sum_i y_ji * df/dx_i over a fresh set of variables y_j1..y_jn
     for each jet level j.  Requires a weight vector w making f homogeneous of
-    nonzero degree and a Hilbert-Burch matrix for f (signed maximal minors
-    equal to scalar * gradient; re-validated here).  The certifying matrix is
+    nonzero degree and a Hilbert-Burch matrix B for f (signed maximal minors
+    equal to scalar * gradient), re-validated here by verifying the Saito
+    matrix [E_w | B].  The certifying matrix is
     square of size (m+1)*n: the old columns stacked with their polars, a full
     weighted diagonal column across all blocks, and per jet level a shifted
     copy of the old columns plus that level's plain diagonal column.  Its
@@ -977,17 +992,30 @@ def multi_jet_extend(
         raise PreconditionError(
             f"the Hilbert-Burch matrix must be {n}x{n - 1} over the divisor's context"
         )
-    if minors_scalar(hb.matrix, f) != hb.scalar:
-        raise PreconditionError(
-            "Hilbert-Burch re-validation failed: signed maximal minors do not "
-            "match the declared multiple of the gradient"
-        )
     w = tuple(Fraction(x) for x in w)
     if len(w) != n:
         raise PreconditionError("weight vector length mismatch")
     d = f.weighted_degree(w)
     if d == 0:
         raise PreconditionError("the weighted degree must be nonzero")
+    # E_w(f) = d * f, so the minors of B are (det_scalar / d) * grad f when
+    # [E_w | B] is a Saito matrix of the reduced f and B annihilates f
+    # (saito.hilbert_burch_from_framed); conversely, minors lam * grad f with
+    # lam != 0 make [E_w | B] such a matrix, with det_scalar = lam * d
+    euler_col = _weighted_coordinates(ctx, w)
+    try:
+        check = verify_saito(f, PolyMatrix(ctx, [(euler_col[i],) + hb.matrix.rows[i]
+                                                 for i in range(n)]))
+    except VerificationError as e:
+        if e.kind == "not_squarefree":
+            raise
+        check = None
+    if (check is None or any(not q.is_zero() for q in check.log_quotients[1:])
+            or check.det_scalar / d != hb.scalar):
+        raise PreconditionError(
+            "Hilbert-Burch re-validation failed: signed maximal minors do not "
+            "match the declared multiple of the gradient"
+        )
     if fresh is None:
         fresh = _default_jet_names(ctx, m)
     else:
@@ -1010,10 +1038,8 @@ def multi_jet_extend(
         for j in range(m):
             col.extend(polars[j].entry(i, c) for i in range(n))
         cols.append(col)
-    euler_col = [big.var(ctx.names[i]).scale(w[i]) for i in range(n)]
-    for grp in fresh:
-        euler_col.extend(big.var(grp[i]).scale(w[i]) for i in range(n))
-    cols.append(euler_col)
+    # big's names are ctx's followed by the fresh groups in order
+    cols.append(_weighted_coordinates(big, w * (m + 1)))
     for j in range(m):
         offset = (j + 1) * n
         for c in range(n - 1):
@@ -1027,8 +1053,7 @@ def multi_jet_extend(
         cols.append(col)
     matrix = PolyMatrix(big, [[cols[c][r] for c in range(total)] for r in range(total)])
     cert = _verify_factors(factors, matrix)[0]
-    w_big = w * (m + 1)
-    if cert.divisor.weighted_degree(w_big) != (m + 1) * d:
+    if cert.divisor.weighted_degree(w * (m + 1)) != (m + 1) * d:
         raise InternalCheckError("the jet product has the wrong weighted degree")
     return cert
 

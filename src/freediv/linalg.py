@@ -25,8 +25,8 @@ of its last column are exactly those of A.
 elimination", Math. Comp. 22, 1968) on an integer matrix: every division is
 exact.  It is the one elimination behind `fraction_det`, which scales each
 rational row to integers and builds one Fraction at the end, and behind the
-point determinants of Saito's lemma and of the minors lemma in `saito`,
-which evaluate the integer columns of a matrix at an integer point.
+point determinant of Saito's lemma in `saito`, which evaluates the integer
+columns of a matrix at an integer point.
 """
 from __future__ import annotations
 

@@ -16,12 +16,14 @@ packed into one int, in the one product loop _mul_loop; a sum of products
 the one chain _sum_of_products, in that packed form from the first factor to
 the result and summed over one common denominator; exact division divides
 integer numerators by the primitive integer form of the divisor, in one
-remainder updated in place (_divide_loop); evaluation sums integer numerators
-over the common denominator, with one table of powers for any number of
-polynomials (_evaluate_rows); the line certificate evaluates the numerators
-mod a prime, and runs only where the monomial content and the term count
-(the support certificate of squarefree_gcd) leave squarefreeness open;
-weighted degrees sum exponents times the weights in integer form.  The
+remainder updated in place (_divide_loop), and that primitive form
+(_primitive_part) is also the one behind normalize_primitive and the
+column kernel below; evaluation sums integer numerators over the common
+denominator, with one table of powers for any number of polynomials
+(_evaluate_rows); the line certificate evaluates the numerators mod a prime,
+and proves only squarefreeness, where the monomial content and the term
+count (the support certificate of squarefree_gcd) leave it open; weighted
+degrees sum exponents times the weights in integer form.  The
 logarithmic-column check of Saito's criterion, _gradient_quotients, takes
 the columns of a matrix in integer form (_integer_columns, once per matrix)
 and the primitive part of the divisor, sums every image (grad g) . A_j from
@@ -705,14 +707,13 @@ def _gradient_quotients(g: Poly, columns: Sequence[tuple[int, list[dict[Exponent
 
 
 def normalize_primitive(p: Poly) -> Poly:
-    """Scale to integer coefficients with content 1 and positive leading coefficient."""
+    """Scale to integer coefficients with content 1 and positive leading
+    coefficient: the primitive part of _primitive_part, negated when the
+    leading coefficient is negative."""
     if p.is_zero():
         return p
-    den, nums = _integer_form(p.terms.values())
-    scale = Fraction(den, int_gcd(*nums))
-    if p.lead_coeff() < 0:
-        scale = -scale
-    return p.scale(scale)
+    sign = -1 if p.lead_coeff() < 0 else 1
+    return Poly(p.ctx, {e: Fraction(sign * v) for e, v in _primitive_part(p)[2].items()})
 
 
 def _content_wrt(p: Poly, v: int) -> list[Poly]:
@@ -965,32 +966,6 @@ def squarefree_on_line(f: Poly) -> bool:
     p = LINE_PRIME
     du = [k * u[k] % p for k in range(1, len(u))]
     return len(_gcd_mod(u, du, p)) == 1
-
-
-def coprime_on_line(polys: Sequence[Poly]) -> bool:
-    """One-sided exact test: True proves that the polynomials, all nonzero,
-    have no common factor of positive degree over Q.
-
-    True means the restrictions of _on_line keep the total degrees of the
-    polynomials they restrict and have a constant gcd in F_p[t] (checked over
-    the polynomials in order, stopping once the running gcd is constant).  A
-    common factor of positive degree would, by Gauss's lemma, be a primitive
-    integer c dividing each integer multiple G_j over Z; the kept top
-    coefficient of G_j keeps c(a + t*b) at degree deg c mod p, and it would
-    divide every restriction.  False proves nothing; it is the answer for no
-    polynomials or a zero one.
-    """
-    if not polys or any(g.is_zero() for g in polys):
-        return False
-    common = None
-    for g in polys:
-        u = _on_line(g)
-        if u is None:
-            return False
-        common = u if common is None else _gcd_mod(common, u, LINE_PRIME)
-        if len(common) == 1:
-            return True
-    return False
 
 
 def _squarefree_by_support(f: Poly) -> bool:

@@ -36,18 +36,15 @@ Otherwise (bound too large, no such point among the fixed candidates, or a
 column not logarithmic) det A is expanded by the Bareiss / cofactor
 determinant, exactly as without the lemma.
 
-minors_scalar proves a Hilbert-Burch matrix the same way, with the same two
-kernels: when B^T grad f = 0 (every column quotient by f zero), the partials
-are certified coprime on the line (poly.coprime_on_line) and a row passes the
-degree bound, the signed maximal minors are a constant times grad f, read at
-one point; otherwise the n minors are expanded.
-
 A FramedDivisor couples a factored divisor with a verified Saito matrix plus
 the exact per-column, per-factor logarithmic multipliers, which are the
 quotients of the factor-wise check.  euler_frame normalizes any Saito matrix
 of a weighted-homogeneous divisor into the strict shape
 [E_w/d | annihilators], from which hilbert_burch_from_framed extracts the
-(n)x(n-1) block whose signed maximal minors reproduce the gradient.
+(n)x(n-1) block whose signed maximal minors reproduce the gradient.  The
+scalar of those minors is read from the frame's certificate, with no minor
+expanded (see hilbert_burch_from_framed); the exact expansion
+PolyMatrix.signed_maximal_minors is the test oracle.
 """
 from __future__ import annotations
 
@@ -57,7 +54,7 @@ from itertools import combinations
 from math import prod
 from typing import Sequence
 
-from .linalg import _bareiss, bounded_syzygy_solve
+from .linalg import _bareiss, _weighted_coordinates, bounded_syzygy_solve
 from .matrices import InternalCheckError, PolyMatrix, matrix_to_json
 from .poly import (
     Context,
@@ -65,7 +62,6 @@ from .poly import (
     _evaluate_rows,
     _gradient_quotients,
     _integer_columns,
-    coprime_on_line,
     divide_exact,
     poly_product,
     poly_to_str,
@@ -117,11 +113,13 @@ _POINT_BOUND = 97
 _POINT_TRIES = 4
 
 
-def _degree_bound(matrix: PolyMatrix) -> int:
-    """A bound on the total degree of every term of det(matrix): the smaller
-    of the sum over columns and the sum over rows of the largest entry degree."""
-    degs = [[0 if a.is_zero() else a.total_degree() for a in row] for row in matrix.rows]
-    return min(sum(max(col) for col in zip(*degs)), sum(max(row) for row in degs))
+def _degree_bound(columns: list) -> int:
+    """A bound on the total degree of every term of det(A), for the square
+    matrix A whose columns are given in the integer form of
+    poly._integer_columns: the smaller of the sum over columns and the sum
+    over rows of the largest entry degree (0 for a zero entry)."""
+    degs = [[max(map(sum, a)) if a else 0 for a in col] for _, col in columns]
+    return min(sum(map(max, degs)), sum(map(max, zip(*degs))))
 
 
 def _ratio_at_point(columns: list, g: Poly) -> Fraction | None:
@@ -143,7 +141,7 @@ def _ratio_at_point(columns: list, g: Poly) -> Fraction | None:
     return None
 
 
-def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix, columns: list) -> Fraction | None:
+def _det_scalar_by_lemma(f: Poly, columns: list) -> Fraction | None:
     """c with det A = c * f for a reduced f and logarithmic columns, or None;
     columns are those of A in the integer form of poly._integer_columns.
 
@@ -153,7 +151,7 @@ def _det_scalar_by_lemma(f: Poly, matrix: PolyMatrix, columns: list) -> Fraction
     det A = 0.  None when the bound fails or no candidate point has
     f(p) != 0.
     """
-    if _degree_bound(matrix) > f.total_degree():
+    if _degree_bound(columns) > f.total_degree():
         return None
     return _ratio_at_point(columns, f)
 
@@ -205,7 +203,7 @@ def _verify_factors(factors: Sequence[Poly], matrix: PolyMatrix
         failed = _gradient_quotients(f, columns)
         if not isinstance(failed, int):
             raise InternalCheckError("a column logarithmic for the reduced product fails on a factor")
-    scalar = None if failed is not None else _det_scalar_by_lemma(f, matrix, columns)
+    scalar = None if failed is not None else _det_scalar_by_lemma(f, columns)
     det = f.ctx.zero()  # what a zero scalar proves
     if scalar is None:
         det = matrix.det()
@@ -340,7 +338,7 @@ def euler_frame(f: Poly, weight: Sequence, matrix: PolyMatrix) -> FramedDivisor:
     cert = verify_saito(f, matrix)
     ctx = f.ctx
     n = ctx.nvars
-    euler_col = [ctx.var(ctx.names[i]).scale(w[i] / d) for i in range(n)]
+    euler_col = _weighted_coordinates(ctx, [x / d for x in w])
     quotients = cert.log_quotients
 
     def attempt(j0: int) -> FramedDivisor | None:
@@ -386,68 +384,25 @@ class HilbertBurch:
     scalar: Fraction
 
 
-def _minors_scalar_by_lemma(matrix: PolyMatrix, f: Poly) -> Fraction | None:
-    """lam with signed maximal minors m of the n x (n-1) matrix B equal to
-    lam * grad f, read at one point, or None.
-
-    Laplace expansion gives B^T m = 0.  If also B^T grad f = 0 and the nonzero
-    partials have no common factor, then m = h * grad f with h a polynomial:
-    the left kernel of B has rank at most 1 over Q(x) (m = 0 when B has lower
-    rank), and grad f is primitive (Hilbert-Burch; D. Eisenbud, Commutative
-    Algebra, Thm. 20.15).  If for some i with df/dx_i != 0 the degree bound of
-    B without row i is at most deg df/dx_i, then h is a constant, read as
-    m_i(p) / (df/dx_i)(p).  None when a step fails, no candidate point has
-    (df/dx_i)(p) != 0, or lam = 0.
-    """
-    grad = f.gradient()
-    row = next((i for i, g in enumerate(grad) if not g.is_zero()
-                and _degree_bound(matrix.drop_row(i)) <= g.total_degree()), None)
-    if row is None:
-        return None
-    # B^T grad f = 0 exactly when every quotient by f is zero
-    columns = _integer_columns(matrix.cols())
-    quotients = _gradient_quotients(f, columns)
-    if isinstance(quotients, int) or any(not q.is_zero() for q in quotients):
-        return None
-    if not coprime_on_line([g for g in grad if not g.is_zero()]):
-        return None
-    lam = _ratio_at_point([(den, col[:row] + col[row + 1:]) for den, col in columns], grad[row])
-    if not lam:
-        return None
-    return -lam if row % 2 else lam
-
-
-def minors_scalar(matrix: PolyMatrix, f: Poly) -> Fraction | None:
-    """The scalar lam with signed maximal minors of the n x (n-1) matrix equal
-    to lam * grad f, or None when there is none.
-
-    The one-point certificate of _minors_scalar_by_lemma is tried first; the
-    minors themselves are expanded only when it gives no answer.  lam is then
-    read off the first nonzero partial derivative; None also when f has no
-    nonzero partial."""
-    n = f.ctx.nvars
-    if matrix.ctx == f.ctx and matrix.nrows == n and matrix.ncols == n - 1:
-        lam = _minors_scalar_by_lemma(matrix, f)
-        if lam is not None:
-            return lam
-    minors = matrix.signed_maximal_minors()
-    grad = f.gradient()
-    g0 = next((i for i, g in enumerate(grad) if not g.is_zero()), None)
-    if g0 is None:
-        return None
-    q = divide_exact(minors[g0], grad[g0])
-    if q is None or not q.is_constant():
-        return None
-    lam = q.constant_value()
-    if any(m != g.scale(lam) for m, g in zip(minors, grad)):
-        return None
-    return lam
-
-
 def hilbert_burch_from_framed(fd: FramedDivisor) -> HilbertBurch:
     """Drop the Euler column of a strict single-factor frame and normalize the
     annihilator block so its signed maximal minors equal the gradient exactly.
 
+    The frame's certificate fixes the scalar.  Let [D | B] be the frame, with
+    f reduced, det[D | B] = c * f, c != 0, D(f) = c0 * f, c0 a nonzero
+    constant, and B^T grad f = 0.  Then the signed maximal minors m of B are
+    (c / c0) * grad f (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980, (1.8);
+    the Hilbert-Burch theorem, D. Eisenbud, Commutative Algebra, Thm. 20.15):
+    1. c != 0 gives rank B = n - 1, so the left kernel of B over Q(x) is a
+       line; it holds m (Laplace expansion: B^T m = 0) and grad f.
+    2. The partials of f have no common factor: an irreducible common
+       factor p divides D(f) = c0 * f; write f = p * g with p not dividing g
+       (f is reduced); then p divides every dp/dx_i * g, so every partial of
+       p, which forces p to be constant.
+    3. So m = h * grad f with h a polynomial: by 1, m = (a / b) * grad f
+       with a, b coprime, and b divides every partial, so b is constant.
+    4. Expanding det[D | B] along column 0 gives h * D(f) = h * c0 * f = c * f,
+       so h = c / c0.
     With two or more variables a column is rescaled to make the scalar 1; with
     one variable the matrix has no columns and the scalar is reported as is.
     """
@@ -461,12 +416,7 @@ def hilbert_burch_from_framed(fd: FramedDivisor) -> HilbertBurch:
     f = fd.product
     n = f.ctx.nvars
     b = fd.matrix.submatrix(range(n), range(1, n))
-    lam = minors_scalar(b, f)
-    if lam is None or lam == 0:
-        raise VerificationError(
-            "hilbert_burch_mismatch",
-            "signed maximal minors are not a nonzero scalar multiple of the gradient",
-        )
+    lam = fd.certificate.det_scalar / fd.multipliers[0][0].constant_value()
     if lam != 1:
         if b.ncols == 0:
             # one variable: the only minor is the empty determinant 1, and no

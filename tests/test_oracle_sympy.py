@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from freediv.linalg import _bareiss, _solve, fraction_det, rref
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
-    Context, Poly, _integer_form, coprime_on_line, divide_exact, normalize_primitive, poly_gcd,
+    Context, Poly, _integer_form, divide_exact, normalize_primitive, poly_gcd,
     squarefree_gcd, squarefree_on_line, substitute,
 )
 
@@ -85,30 +85,6 @@ def test_line_certificate_is_one_sided(planted):
         assert certified == 0
     else:
         assert certified > 0
-
-
-@pytest.mark.parametrize("planted", [False, True])
-def test_coprime_certificate_is_one_sided(planted):
-    rng = make_rng(84 + planted)
-    certified = 0
-    for _ in range(max(CASES // 20, 20)):
-        polys = [rand_nonzero(rng, CTX, max_terms=3, max_deg=3) for _ in range(rng.randint(1, 4))]
-        if planted:
-            c = rand_nonzero(rng, CTX, max_terms=2, max_deg=2)
-            if c.is_constant():
-                continue
-            polys = [c * g for g in polys]
-        if coprime_on_line(polys):
-            certified += 1
-            common = to_sympy(polys[0])
-            for g in polys[1:]:
-                common = sympy.gcd(common, to_sympy(g))
-            assert common.is_ground, polys
-    if planted:
-        assert certified == 0
-    else:
-        assert certified > 0
-    assert not coprime_on_line([]) and not coprime_on_line([CTX.gens()[0], CTX.zero()])
 
 
 def ref_squarefree_fold(f: Poly) -> Poly:

@@ -13,7 +13,6 @@ from freediv.poly import (
     ParseError,
     Poly,
     PolyError,
-    coprime_on_line,
     deg_shift_inverse,
     divide_exact,
     grevlex_key,
@@ -387,27 +386,6 @@ def test_line_certificate_needs_the_kept_degree():
     f = (x.scale(b2) - y.scale(b1) + 1) ** 2 * x
     assert not squarefree_on_line(f)
     assert not squarefree_gcd(f).is_constant()
-
-
-def test_coprime_certificate_oracles():
-    for texts in (["y*z", "x*z", "x*y"], ["1"], ["x^2 - y", "x*y + z"], ["1/2*x", "1/3*y"]):
-        assert coprime_on_line([P(t) for t in texts]), texts
-    # a single nonconstant polynomial is its own common factor
-    for texts in (["x*y", "x*z"], ["x"], ["x^2 - y^2", "x + y"], ["0", "1"]):
-        assert not coprime_on_line([P(t) for t in texts]), texts
-    assert not coprime_on_line([])
-
-
-def test_coprime_certificate_needs_the_kept_degree():
-    # g = b2*x - b1*y + 1 is constant along the fixed line, so g*x and g*y
-    # restrict to coprime linear polynomials: only the dropped degree stops
-    # the certificate
-    ctx = Context(["x", "y"])
-    b1, b2 = sample_ints(4, LINE_PRIME - 1)[2:]
-    x, y = ctx.gens()
-    g = x.scale(b2) - y.scale(b1) + 1
-    assert not coprime_on_line([g * x, g * y])
-    assert coprime_on_line([x, y])
 
 
 def test_sample_ints_is_fixed():

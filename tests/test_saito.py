@@ -38,7 +38,6 @@ from freediv.saito import (
     frame_divisor,
     free_multiple_via_xifi,
     hilbert_burch_from_framed,
-    minors_scalar,
     saito_from_xifi,
     verify_saito,
     xifi_generators,
@@ -634,18 +633,8 @@ def test_euler_frame_syzygy_fallback(monkeypatch):
     assert column_roles(fd) == ["euler:0", "annihilator"]
 
 
-def test_minors_scalar():
-    ctx = Context(["x", "y"])
-    f = parse_poly("x*y", ctx)
-    # the signed maximal minors of the column (a, b) are (b, -a)
-    assert minors_scalar(M([["-2*x"], ["2*y"]], ctx), f) == 2
-    assert minors_scalar(M([["x"], ["y"]], ctx), f) is None
-    assert minors_scalar(M([["x^2"], ["x*y"]], ctx), f) is None
-    assert minors_scalar(M([["0"], ["0"]], ctx), f) == 0
-
-
 # ---------------------------------------------------------------------------
-# minors_scalar: the one-point lemma and its fallback to the full minors
+# the Hilbert-Burch scalar from the frame's certificate
 # ---------------------------------------------------------------------------
 
 
@@ -663,72 +652,27 @@ def minors_calls(monkeypatch):
     return calls
 
 
-def full_minors_scalar(monkeypatch, b, f):
-    """minors_scalar with the lemma switched off: the full minors only."""
-    with monkeypatch.context() as m:
-        m.setattr(freediv.saito, "_minors_scalar_by_lemma", lambda b, f: None)
-        return minors_scalar(b, f)
-
-
-def agrees_with_the_minors(b, f, lam) -> bool:
-    minors = PolyMatrix.signed_maximal_minors(b)
-    if lam is not None:
-        return minors == [g.scale(lam) for g in f.gradient()]
-    g0 = next(i for i, g in enumerate(f.gradient()) if not g.is_zero())
-    q = divide_exact(minors[g0], f.gradient()[g0])
-    return q is None or not q.is_constant() or minors != [g.scale(q.constant_value())
-                                                          for g in f.gradient()]
-
-
-def test_strict_frame_minors_take_no_determinant(det_calls, minors_calls):
+def test_hilbert_burch_and_jets_take_no_determinant_and_no_minors(det_calls, minors_calls):
     ctx, f = normal_crossing(3)
     fd = euler_frame(f, [1, 1, 1], PolyMatrix.diagonal([ctx.var(n) for n in ctx.names]))
     hb = hilbert_burch_from_framed(fd)
-    assert minors_scalar(hb.matrix, f) == 1
-    assert minors_calls == []
-    assert [n for n in det_calls if n] == []
+    assert hb.scalar == 1
     cert = multi_jet_extend(f, hb, (1, 1, 1), 2)
     assert minors_calls == []
-    assert [n for n in det_calls if n] == []
+    assert det_calls == []
     assert cert.divisor.ctx.nvars == 9
+    assert PolyMatrix.signed_maximal_minors(hb.matrix) == list(f.gradient())
 
 
-@pytest.mark.parametrize("names, f, rows, expected", [
-    # rank-deficient: both columns annihilate grad f, every minor is 0
-    ("xyz", "x*y*z", [["x", "2*x"], ["-y", "-2*y"], ["0", "0"]], 0),
-    # the partials 2*x*y and x^2 share the factor x: m = (-1/x) * grad f
-    ("xy", "x^2*y", [["x"], ["-2*y"]], None),
-    # the degree bound 2 exceeds deg df/dx_i = 1 on both rows: m = -x * grad f
-    ("xy", "x*y", [["x^2"], ["-x*y"]], None),
-    # B^T grad f = 2*x*y is not zero
-    ("xy", "x*y", [["x"], ["y"]], None),
-])
-def test_minors_lemma_falls_back_to_the_full_minors(monkeypatch, minors_calls, names, f, rows, expected):
-    ctx = Context(list(names))
-    f, b = parse_poly(f, ctx), M(rows, ctx)
-    assert freediv.saito._minors_scalar_by_lemma(b, f) is None
-    lam = minors_scalar(b, f)
-    assert minors_calls == [b.nrows]
-    assert lam == expected
-    assert lam == full_minors_scalar(monkeypatch, b, f)
-    assert agrees_with_the_minors(b, f, lam)
-
-
-def test_minors_lemma_reads_the_scalar(minors_calls):
-    ctx = Context(["x", "y"])
-    assert minors_scalar(M([["-2*x"], ["2*y"]], ctx), parse_poly("x*y", ctx)) == 2
-    assert minors_scalar(M([["1/2*x"], ["-1/2*y"]], ctx), parse_poly("x*y", ctx)) == Fraction(-1, 2)
-    one = Context(["x"])
-    assert minors_scalar(PolyMatrix(one, [[]]), parse_poly("3*x", one)) == Fraction(1, 3)
-    # df/dx = 0: the scalar is read on row 1, whose minor carries the sign -1
-    assert minors_scalar(M([["1", "0"], ["0", "y"], ["0", "-z"]]), P("y*z")) == 1
-    assert minors_scalar(M([["2", "0"], ["0", "y"], ["0", "-z"]]), P("y*z")) == 2
-    assert minors_calls == []
-
-
-def test_minors_lemma_agrees_with_the_full_minors(monkeypatch):
-    # column operations B @ U keep B^T grad f = 0 and scale the minors by
-    # det U: constant U keep the lemma's degree bound, polynomial ones may not
+def test_certificate_scalar_agrees_with_the_full_minors(det_calls):
+    # frame [s * E_w/d | B @ U] over a Hilbert-Burch block B, a constant
+    # s != 0 (so D(f) = s * f) and a constant U of nonzero determinant or an
+    # upper unit triangular U with entries 0, +-1, +-x_i: the frame is
+    # strict, its minors are det U times those of B, det_scalar is
+    # s * det U, and the extracted matrix must reproduce the gradient
+    # exactly; a constant U keeps the frame's degree bound (the point
+    # lemma), an entry +-x_i may raise it above deg f (the Bareiss
+    # determinant)
     rng = make_rng(140)
     bases = []
     for n in (2, 3, 4):
@@ -738,24 +682,34 @@ def test_minors_lemma_agrees_with_the_full_minors(monkeypatch):
     f = P("x^2*y - y^2*z")
     fd = euler_frame(f, [1, 1, 1], M([["0", "x", "y"], ["y", "-2*y", "0"], ["-z", "4*z", "2*x"]]))
     bases.append((f, hilbert_burch_from_framed(fd).matrix))
-    by_lemma = fallback = 0
+    by_lemma = by_bareiss = 0
     for _ in range(40):
         f, b = bases[rng.randrange(len(bases))]
         ctx, k = f.ctx, b.ncols
-        u = [[ctx.const(F(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(k)]
-             for _ in range(k)]
         if rng.random() < 0.5:
-            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
-            u[i][j] = u[i][j] + ctx.var(rng.choice(ctx.names)) * ctx.var(rng.choice(ctx.names))
-        bu = b @ PolyMatrix(ctx, u)
-        lam = minors_scalar(bu, f)
-        assert lam == full_minors_scalar(monkeypatch, bu, f)
-        assert agrees_with_the_minors(bu, f, lam)
-        if freediv.saito._minors_scalar_by_lemma(bu, f) is None:
-            fallback += 1
+            u = _unit_triangular(rng, ctx, k, upper=True)
         else:
+            u = PolyMatrix(ctx, [[ctx.const(F(rng.randint(-3, 3), rng.randint(1, 3)))
+                                  for _ in range(k)] for _ in range(k)])
+            if not u._det_bareiss().constant_value():
+                continue
+        bu = b @ u
+        w = [rng.randint(1, 3) for _ in ctx.names] if f.num_terms() == 1 else [1] * ctx.nvars
+        scale = rng.choice([F(1), F(-2), F(3, 2)]) / f.weighted_degree(w)
+        euler = [ctx.var(nm).scale(wi * scale) for nm, wi in zip(ctx.names, w)]
+        before = len(det_calls)
+        fd = frame_divisor([f], PolyMatrix(ctx, [(e,) + r for e, r in zip(euler, bu.rows)]))
+        if len(det_calls) == before:
             by_lemma += 1
-    assert by_lemma >= 10 and fallback >= 5
+        else:
+            by_bareiss += 1
+        lam = u._det_bareiss().constant_value()
+        assert fd.certificate.det_scalar == lam * scale * f.weighted_degree(w)
+        assert PolyMatrix.signed_maximal_minors(bu) == [g.scale(lam) for g in f.gradient()]
+        hb = hilbert_burch_from_framed(fd)
+        assert hb.scalar == 1
+        assert PolyMatrix.signed_maximal_minors(hb.matrix) == list(f.gradient())
+    assert by_lemma >= 10 and by_bareiss >= 5
 
 
 def test_wrong_declared_scalar_fails_the_jet_revalidation():
@@ -765,6 +719,44 @@ def test_wrong_declared_scalar_fails_the_jet_revalidation():
     for scalar in (F(2), F(0), F(-1)):
         with pytest.raises(PreconditionError, match="re-validation"):
             multi_jet_extend(f, HilbertBurch(f, hb.matrix, scalar), (1, 1, 1), 1)
+
+
+@pytest.mark.parametrize("rows", [
+    # column 1 is not logarithmic: (grad f) . (1, 0, 0) = y*z
+    [["x", "1"], ["-y", "0"], ["0", "0"]],
+    # column 1 is logarithmic but does not annihilate: (x, 0, 0)(f) = f
+    [["x", "x"], ["-y", "0"], ["0", "0"]],
+    # rank deficient: two annihilating columns, det [E_w | B] = 0
+    [["x", "2*x"], ["-y", "-2*y"], ["0", "0"]],
+    # the zero matrix: with the scalar 0 its minors are 0 * grad f, but
+    # [E_w | 0] is no Saito matrix, so the re-validation refuses it
+    [["0", "0"], ["0", "0"], ["0", "0"]],
+])
+def test_jet_revalidation_rejects_a_matrix_that_is_not_hilbert_burch(rows):
+    # det [E | B] / 3 is 1/3 for the logarithmic column that does not annihilate
+    f, b = P("x*y*z"), M(rows)
+    for scalar in (F(0), F(1), F(1, 3), F(-1, 3)):
+        with pytest.raises(PreconditionError, match="re-validation"):
+            multi_jet_extend(f, HilbertBurch(f, b, scalar), (1, 1, 1), 1)
+
+
+def test_jet_revalidation_of_a_non_reduced_divisor_is_not_squarefree():
+    ctx = Context(["x", "y"])
+    f = parse_poly("x^2*y", ctx)
+    # the minors (-y, -x) of the column (x, -y) are not a multiple of grad f,
+    # but the first failed condition is that f is not reduced
+    with pytest.raises(VerificationError) as ei:
+        multi_jet_extend(f, HilbertBurch(f, M([["x"], ["-y"]], ctx), F(1)), (1, 1), 1)
+    assert ei.value.kind == "not_squarefree"
+
+
+def test_jet_weight_errors_come_before_the_revalidation():
+    ctx, f = normal_crossing(2)
+    hb = HilbertBurch(f, PolyMatrix(ctx, [[ctx.zero()], [ctx.zero()]]), F(0))
+    with pytest.raises(PreconditionError, match="weight vector length"):
+        multi_jet_extend(f, hb, (1, 1, 1), 1)
+    with pytest.raises(PreconditionError, match="weighted degree must be nonzero"):
+        multi_jet_extend(f, hb, (1, -1), 1)
 
 
 def test_hilbert_burch_requires_strict_frame():

@@ -10,14 +10,20 @@ loop, which only `Poly.__mul__` and the product chain `_sum_of_products`
 call, or the column kernel `_gradient_quotients`.  One function holds each
 of three more loops: the integer division loop `poly._divide_loop` (behind
 `divide_exact` and the column kernel), the fraction-free integer update
-`linalg._bareiss` (behind `fraction_det` and the point determinants of
+`linalg._bareiss` (behind `fraction_det` and the point determinant of
 `saito`), and the point-evaluation loop `poly._evaluate_rows` (behind
-`Poly.evaluate` and the same point determinants).  One private core of
+`Poly.evaluate` and the same point determinant).  One private core of
 `linalg.py`, `_solve_in_multiples`, builds and
 solves the system of every solve in multiples of given polynomials (graded
 membership, bounded syzygies, the scalar obstruction): it alone calls
 `_coefficient_system`, it and `euler_annihilators` alone call `_solve`, and
-`obstruction.py` substitutes only to build the transformed form."""
+`obstruction.py` substitutes only to build the transformed form.  The
+scalar of a Hilbert-Burch matrix is read from a verified Saito certificate:
+no function of freediv expands the signed maximal minors (the test oracle
+`PolyMatrix.signed_maximal_minors`), only Saito's lemma
+`saito._det_scalar_by_lemma` takes the point determinant `_ratio_at_point`,
+and only the verification core `saito._verify_factors` runs the column
+kernel `_gradient_quotients`."""
 from __future__ import annotations
 
 import ast
@@ -170,7 +176,7 @@ def test_one_function_holds_the_integer_division_loop():
 
 
 def test_one_function_holds_the_bareiss_update():
-    # fraction_det and the point determinants of saito eliminate in _bareiss:
+    # fraction_det and the point determinant of saito eliminate in _bareiss:
     # (pivot * a - lead * b) // prev, the fraction-free integer update (the
     # polynomial determinant of matrices.py divides by divide_exact instead)
     def update(node):
@@ -183,7 +189,7 @@ def test_one_function_holds_the_bareiss_update():
 
 
 def test_one_function_holds_the_point_evaluation_loop():
-    # Poly.evaluate and the point determinants of saito evaluate in
+    # Poly.evaluate and the point determinant of saito evaluate in
     # _evaluate_rows: a for loop that raises a coordinate of the point,
     # point[i], to the exponent of a term
     def power(node):
@@ -193,15 +199,27 @@ def test_one_function_holds_the_point_evaluation_loop():
     assert loops == {("poly.py", "_evaluate_rows")}
 
 
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every call of name."""
+    return {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, name)}
+
+
 def test_one_core_solves_in_multiples():
     # graded_membership, bounded_syzygy_solve and scalar_membership_obstruction
     # build no columns and read no solution of their own; the straightening
     # of the linear forms is checked on integer rows, not by substitution
-    def scopes(name):
-        return {(p.name, scope) for p in MODULES for scope, _, _ in _calls(p, name)}
-    assert scopes("_coefficient_system") == {("linalg.py", "_solve_in_multiples")}
-    assert scopes("_solve") == {("linalg.py", "_solve_in_multiples"),
-                                ("linalg.py", "euler_annihilators")}
+    assert _callers("_coefficient_system") == {("linalg.py", "_solve_in_multiples")}
+    assert _callers("_solve") == {("linalg.py", "_solve_in_multiples"),
+                                  ("linalg.py", "euler_annihilators")}
     obstruction = next(p for p in MODULES if p.name == "obstruction.py")
     assert [scope for scope, _, _ in _calls(obstruction, "substitute")] == [
         "smooth_times_nc_verdict"]
+
+
+def test_hilbert_burch_scalars_come_from_the_certificate():
+    # hilbert_burch_from_framed, euler3_divisor and multi_jet_extend read the
+    # scalar of the minors from a verified frame [D | B]; no second lemma
+    # checks B^T grad f or takes a point determinant of B
+    assert _callers("signed_maximal_minors") == set()
+    assert _callers("_ratio_at_point") == {("saito.py", "_det_scalar_by_lemma")}
+    assert _callers("_gradient_quotients") == {("saito.py", "_verify_factors")}
