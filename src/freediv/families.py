@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -55,9 +56,9 @@ from .saito import (
     PreconditionError,
     SaitoCertificate,
     VerificationError,
+    _strict_frame,
     _verify_factors,
     column_roles,
-    euler_frame,
     frame_divisor,
     hilbert_burch_from_framed,
     verify_saito,
@@ -393,51 +394,34 @@ def _euler3_case_all_nonzero(f: Poly, e: tuple[Fraction, ...]) -> PolyMatrix:
 
 
 def _euler3_case_one_zero(
-    f: Poly, e: tuple[Fraction, ...], zero_pos: int
+    f: Poly, e: tuple[Fraction, ...], p: int
 ) -> tuple[PolyMatrix | None, Poly | None]:
     """Hilbert-Burch matrix (or a refutation witness) when exactly one
-    coefficient vanishes.  Returns (matrix, None) or (None, witness)."""
+    coefficient, e_p, vanishes.  Returns (matrix, None) or (None, witness).
+
+    Every term x^a of f, so of df/dx_p, has e_q*a_q + e_r*a_r = 0 (the field
+    annihilates f, and e_p = 0).  So a term without x_q has no x_r:
+    df/dx_p lies in (x_q, x_r) only as x_q * g, its terms without x_q are
+    the witness, and the entry that would hold a part in (x_r) is 0.
+    """
     ctx = f.ctx
-    names = ctx.names
-    others = [i for i in range(3) if i != zero_pos]
-    order = [names[zero_pos], names[others[0]], names[others[1]]]
-    fp = f.reordered(order)
-    pctx = fp.ctx
-    bb, cc = e[others[0]], e[others[1]]
-    fx = fp.derivative(0)
-    g_terms: dict[tuple[int, ...], Fraction] = {}
-    h_terms: dict[tuple[int, ...], Fraction] = {}
-    bad: dict[tuple[int, ...], Fraction] = {}
-    for exp, coef in fx.items():
-        if exp[1] >= 1:
-            g_terms[(exp[0], exp[1] - 1, exp[2])] = coef
-        elif exp[2] >= 1:
-            h_terms[(exp[0], exp[1], exp[2] - 1)] = coef
-        else:
-            bad[exp] = coef
+    q, r = (i for i in range(3) if i != p)
+    fp = f.derivative(p)
+    bad = {exp: coef for exp, coef in fp.items() if not exp[q]}
     if bad:
-        return None, Poly(pctx, bad).reordered(names)
-    g = Poly(pctx, g_terms)
-    h = Poly(pctx, h_terms)
-    yv = pctx.var(order[1])
-    zv = pctx.var(order[2])
-    fy = fp.derivative(1)
-    top = divide_exact(fy, zv.scale(cc))
+        return None, Poly(ctx, bad)
+    g = Poly(ctx, {exp[:q] + (exp[q] - 1,) + exp[q + 1:]: coef for exp, coef in fp.items()})
+    x = ctx.gens()
+    top = divide_exact(f.derivative(q), x[r].scale(e[r]))
     if top is None:
         raise InternalCheckError(
             "the second partial is not divisible by the third variable despite the "
             "annihilation relation"
         )
-    bp = PolyMatrix(pctx, [
-        [pctx.zero(), top],
-        [yv.scale(bb), h.scale(-Fraction(1, 1) / cc)],
-        [zv.scale(cc), g.scale(Fraction(1, 1) / bb)],
-    ])
-    perm = [order.index(nm) for nm in names]
-    rows = [
-        [bp.entry(perm[i], j).reordered(names) for j in range(2)]
-        for i in range(3)
-    ]
+    rows = [None] * 3
+    rows[p] = [ctx.zero(), top]
+    rows[q] = [x[q].scale(e[q]), ctx.zero()]
+    rows[r] = [x[r].scale(e[r]), g.scale(1 / e[q])]
     return PolyMatrix(ctx, rows), None
 
 
@@ -753,6 +737,11 @@ def compose_factors(
     test of the full product.  All of this runs *before* the frame is
     consulted, so a non-reduced substitution is reported even when no frame
     exists.
+
+    The factor gcds stay ahead of squarefree_gcd of the product: its gcd fold
+    on the 1,272-term product of corpus entry compose-01-shared-factor had
+    not finished after 5 minutes (Python 3.11, a 2-core VM), while a factor
+    gcd names that entry's shared factor at once.
     """
     factors = tuple(factors)
     k = outer.ctx.nvars
@@ -841,7 +830,9 @@ def compose(fd: FramedDivisor, outer: FramedDivisor) -> FramedDivisor:
     return compose_factors(fd.factors, outer, frame=fd)
 
 
+@cache
 def _sum_outer_frame() -> FramedDivisor:
+    """The frame of y1*y2*(y1 + y2), built and verified once, on first use."""
     hctx = Context(("y1", "y2"))
     y1, y2 = hctx.gens()
     matrix = PolyMatrix(hctx, [[y1, y1 * y1], [y2, -(y2 * y2)]])
@@ -853,7 +844,9 @@ def sum_compose(fd_f: FramedDivisor, fd_g: FramedDivisor) -> FramedDivisor:
     disjoint variable sets.
 
     Both inputs are normalized to strict frames, juxtaposed over the union
-    context, and substituted into y1*y2*(y1+y2)."""
+    context, and substituted into y1*y2*(y1+y2).  The inputs' certificates
+    are trusted, as every FramedDivisor is, and not verified again; the
+    composed frame is verified by compose_factors."""
     names_f = fd_f.ctx.names
     names_g = fd_g.ctx.names
     if set(names_f) & set(names_g):
@@ -866,8 +859,8 @@ def sum_compose(fd_f: FramedDivisor, fd_g: FramedDivisor) -> FramedDivisor:
                 f"the {label} input carries no weight vector; sum composition "
                 "needs weighted-homogeneous inputs"
             )
-    strict_f = euler_frame(fd_f.product, fd_f.weight, fd_f.matrix)
-    strict_g = euler_frame(fd_g.product, fd_g.weight, fd_g.matrix)
+    strict_f = _strict_frame(fd_f.certificate, fd_f.weight)
+    strict_g = _strict_frame(fd_g.certificate, fd_g.weight)
     big = Context(names_f + names_g)
     nf, ng = len(names_f), len(names_g)
 
@@ -974,13 +967,9 @@ def multi_jet_extend(
     Here f^(j) = sum_i y_ji * df/dx_i over a fresh set of variables y_j1..y_jn
     for each jet level j.  Requires a weight vector w making f homogeneous of
     nonzero degree and a Hilbert-Burch matrix B for f (signed maximal minors
-    equal to scalar * gradient), re-validated here by verifying the Saito
-    matrix [E_w | B].  The certifying matrix is
-    square of size (m+1)*n: the old columns stacked with their polars, a full
-    weighted diagonal column across all blocks, and per jet level a shifted
-    copy of the old columns plus that level's plain diagonal column.  Its
-    columns are checked logarithmic factor by factor, on f and on each f^(j),
-    never on the expanded product.
+    equal to scalar * gradient).  The supplied B is user data, so it is
+    re-validated here by verifying the Saito matrix [E_w | B]; the jet matrix
+    is then built and verified by _jet_certificate.
     """
     ctx = f.ctx
     n = ctx.nvars
@@ -1016,44 +1005,38 @@ def multi_jet_extend(
             "Hilbert-Burch re-validation failed: signed maximal minors do not "
             "match the declared multiple of the gradient"
         )
+    return _jet_certificate(f, hb.matrix, w, m, fresh)
+
+
+def _jet_certificate(f: Poly, b: PolyMatrix, w: tuple[Fraction, ...], m: int,
+                     fresh: Sequence[Sequence[str]] | None) -> SaitoCertificate:
+    """multi_jet_extend for a Hilbert-Burch matrix b of f known to be one.
+
+    The jet matrix is square of size (m+1)*n: b stacked with its polars, a
+    full weighted diagonal column, and per jet level a shifted copy of b
+    plus that level's plain diagonal column.  It alone is verified, factor
+    by factor, on f and on each f^(j), never on the expanded product.
+    """
+    ctx = f.ctx
+    n = ctx.nvars
     if fresh is None:
         fresh = _default_jet_names(ctx, m)
     else:
         fresh = [list(grp) for grp in fresh]
         if len(fresh) != m or any(len(grp) != n for grp in fresh):
             raise PreconditionError(f"fresh must supply {m} groups of {n} names")
-    flat = [nm for grp in fresh for nm in grp]
-    big = ctx.extend(flat)
-    base = hb.matrix.embedded(big)
-    polars = [
-        PolyMatrix(big, [[star(p, big, grp) for p in row] for row in hb.matrix.rows])
-        for grp in fresh
-    ]
-    factors = [f.embedded(big)] + [star(f, big, grp) for grp in fresh]
-    total = (m + 1) * n
-    zero = big.zero()
-    cols: list[list[Poly]] = []
-    for c in range(n - 1):
-        col = [base.entry(i, c) for i in range(n)]
-        for j in range(m):
-            col.extend(polars[j].entry(i, c) for i in range(n))
-        cols.append(col)
+    big = ctx.extend([nm for grp in fresh for nm in grp])
+    base = b.embedded(big)
+    stacked = base.rows + tuple(tuple(star(p, big, grp) for p in row)
+                                for grp in fresh for row in b.rows)
     # big's names are ctx's followed by the fresh groups in order
-    cols.append(_weighted_coordinates(big, w * (m + 1)))
-    for j in range(m):
-        offset = (j + 1) * n
-        for c in range(n - 1):
-            col = [zero] * total
-            for i in range(n):
-                col[offset + i] = base.entry(i, c)
-            cols.append(col)
-        col = [zero] * total
-        for i in range(n):
-            col[offset + i] = big.var(fresh[j][i])
-        cols.append(col)
-    matrix = PolyMatrix(big, [[cols[c][r] for c in range(total)] for r in range(total)])
+    head = PolyMatrix(big, stacked).with_column(_weighted_coordinates(big, w * (m + 1)))
+    levels = block_diagonal([PolyMatrix(big, [()] * n)] + [
+        base.with_column([big.var(nm) for nm in grp]) for grp in fresh])
+    matrix = PolyMatrix(big, [h + t for h, t in zip(head.rows, levels.rows)])
+    factors = [f.embedded(big)] + [star(f, big, grp) for grp in fresh]
     cert = _verify_factors(factors, matrix)[0]
-    if cert.divisor.weighted_degree(w * (m + 1)) != (m + 1) * d:
+    if cert.divisor.weighted_degree(w * (m + 1)) != (m + 1) * f.weighted_degree(w):
         raise InternalCheckError("the jet product has the wrong weighted degree")
     return cert
 
@@ -1078,42 +1061,43 @@ def iterate_tangent(
     """Iterate the jet extension, re-framing the output of each step.
 
     Starts from f0 with weight vector w0 and a verified matrix (detected
-    automatically when f0 is a scaled squarefree monomial), and applies
-    :func:`tangent_extend` ``steps`` times, returning the certificate chain
-    including the seed.  After step i the divisor lives in 2^i times as many
-    variables, has 2^i times the seed's weighted degree, and is a product of
-    i + 1 tracked factors; all three invariants are asserted.
+    automatically when f0 is a scaled squarefree monomial), and applies the
+    single-level jet extension ``steps`` times, returning the certificate
+    chain including the seed.  Each step frames the certificate it holds and
+    builds the jets on that frame's Hilbert-Burch matrix, so each divisor
+    is verified by its strict frame and by its jet matrix, not again.  After
+    step i the divisor lives in 2^i times as many variables, has 2^i times
+    the seed's weighted degree, and is a product of i + 1 tracked factors;
+    all three invariants are asserted.
     """
     if not is_integer(steps) or steps < 0:
         raise PreconditionError(f"steps must be a non-negative integer, got {steps!r}")
     matrix = given_or_normal_crossing(
         f0, matrix, "f0 is not a scaled squarefree monomial; supply a verified matrix"
     )
-    w = tuple(Fraction(x) for x in w0)
+    weight = tuple(Fraction(x) for x in w0)
     cert = verify_saito(f0, matrix)
     certificates = [cert]
     factors = [f0]
     n0 = f0.ctx.nvars
-    d0 = f0.weighted_degree(w)
-    current, weight, current_matrix = f0, w, matrix
+    d0 = f0.weighted_degree(weight)
     for step in range(1, steps + 1):
-        framed = euler_frame(current, weight, current_matrix)
-        hb = hilbert_burch_from_framed(framed)
-        cert = multi_jet_extend(current, hb, weight, 1)
+        current = cert.divisor
+        hb = hilbert_burch_from_framed(_strict_frame(cert, weight))
+        cert = _jet_certificate(current, hb.matrix, weight, 1, None)
         big = cert.divisor.ctx
-        # the jet factor multi_jet_extend multiplied in: the polar form of
+        # the jet factor _jet_certificate multiplied in: the polar form of
         # current over the fresh names
         jet = star(current, big, big.names[current.ctx.nvars:])
         factors = [g.embedded(big) for g in factors] + [jet]
         weight = weight + weight
-        current, current_matrix = cert.divisor, cert.matrix
         if big.nvars != (2 ** step) * n0:
             raise InternalCheckError("variable count drifted from 2^step * n")
-        if current.weighted_degree(weight) != (2 ** step) * d0:
+        if cert.divisor.weighted_degree(weight) != (2 ** step) * d0:
             raise InternalCheckError("weighted degree drifted from 2^step * d")
         if len(factors) != step + 1:
             raise InternalCheckError("factor count drifted from step + 1")
-        if poly_product(big, factors) != current:
+        if poly_product(big, factors) != cert.divisor:
             raise InternalCheckError("tracked factors no longer multiply to the divisor")
         certificates.append(cert)
     return certificates

@@ -91,9 +91,6 @@ class PolyMatrix:
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix(self.ctx, [[self.rows[i][j] for j in keep_cols] for i in keep_rows])
 
-    def drop_row(self, i: int) -> "PolyMatrix":
-        return self.submatrix([r for r in range(self.nrows) if r != i], range(self.ncols))
-
     def with_column(self, col: Sequence[Poly]) -> "PolyMatrix":
         if len(col) != self.nrows:
             raise MatrixError("column length mismatch")
@@ -204,20 +201,6 @@ class PolyMatrix:
 
         full = (1 << n) - 1
         return rec(full, full)
-
-    def signed_maximal_minors(self) -> list[Poly]:
-        """For an n x (n-1) matrix: entry i (0-based) is (-1)^i * det(matrix minus row i).
-
-        The resulting vector m satisfies m . column = 0 for every column (Laplace
-        on a matrix with a repeated column), i.e. it spans the left kernel.
-        """
-        if self.ncols != self.nrows - 1:
-            raise MatrixError("signed maximal minors need an n x (n-1) matrix")
-        out = []
-        for i in range(self.nrows):
-            d = self.drop_row(i).det()
-            out.append(d.scale(-1) if i % 2 else d)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ of a weighted-homogeneous divisor into the strict shape
 [E_w/d | annihilators], from which hilbert_burch_from_framed extracts the
 (n)x(n-1) block whose signed maximal minors reproduce the gradient.  The
 scalar of those minors is read from the frame's certificate, with no minor
-expanded (see hilbert_burch_from_framed); the exact expansion
-PolyMatrix.signed_maximal_minors is the test oracle.
+expanded (see hilbert_burch_from_framed); the test suite's exact expansion of
+the minors is the oracle.
 """
 from __future__ import annotations
 
@@ -324,6 +324,25 @@ def column_roles(fd: FramedDivisor) -> list[str]:
 def euler_frame(f: Poly, weight: Sequence, matrix: PolyMatrix) -> FramedDivisor:
     """Normalize a Saito matrix of a w-homogeneous divisor to [E_w/d | annihilators].
 
+    The weights are checked before the matrix is verified, and
+    _strict_frame normalizes the certificate."""
+    w = tuple(Fraction(x) for x in weight)
+    _euler_column(f, w)
+    return _strict_frame(verify_saito(f, matrix), w)
+
+
+def _euler_column(f: Poly, w: tuple[Fraction, ...]) -> list[Poly]:
+    """E_w/d, with E_w/d(f) = f, for f w-homogeneous of weighted degree d != 0."""
+    d = f.weighted_degree(w)  # raises NotHomogeneousError if inapplicable
+    if d == 0:
+        raise PreconditionError("weighted degree is zero; no Euler column can be normalized")
+    return _weighted_coordinates(f.ctx, [x / d for x in w])
+
+
+def _strict_frame(cert: SaitoCertificate, w: tuple[Fraction, ...]) -> FramedDivisor:
+    """The strict frame [E_w/d | annihilators] from a verified certificate of
+    a w-homogeneous divisor; the certificate is not verified again.
+
     Candidate columns with scalar logarithmic quotient are swapped out for the
     normalized Euler column E_w/d; the remaining columns are corrected to
     annihilators by subtracting their quotient times E_w/d.  Each candidate is
@@ -331,39 +350,26 @@ def euler_frame(f: Poly, weight: Sequence, matrix: PolyMatrix) -> FramedDivisor:
     single column works, E_w/d is expanded over the columns by a bounded
     syzygy solve and the pivot is chosen from that expansion.
     """
-    w = tuple(Fraction(x) for x in weight)
-    d = f.weighted_degree(w)  # raises NotHomogeneousError if inapplicable
-    if d == 0:
-        raise PreconditionError("weighted degree is zero; no Euler column can be normalized")
-    cert = verify_saito(f, matrix)
-    ctx = f.ctx
-    n = ctx.nvars
-    euler_col = _weighted_coordinates(ctx, [x / d for x in w])
-    quotients = cert.log_quotients
+    f, matrix, quotients = cert.divisor, cert.matrix, cert.log_quotients
+    euler_col = _euler_column(f, w)
 
     def attempt(j0: int) -> FramedDivisor | None:
-        cols = [euler_col]
-        for j in range(n):
-            if j == j0:
-                continue
-            q = quotients[j]
-            col = [matrix.entry(i, j) - q * euler_col[i] for i in range(n)]
-            cols.append(col)
-        candidate = PolyMatrix(ctx, [[cols[c][r] for c in range(n)] for r in range(n)])
+        cols = [euler_col] + [[a - quotients[j] * e for a, e in zip(col, euler_col)]
+                              for j, col in enumerate(matrix.cols()) if j != j0]
         try:
-            return frame_divisor([f], candidate, weight=w)
+            return frame_divisor([f], PolyMatrix(f.ctx, list(zip(*cols))), weight=w)
         except VerificationError as e:
             if e.kind != "det_mismatch":
                 raise
             return None
 
-    for j0 in range(n):
-        if quotients[j0].is_constant() and not quotients[j0].is_zero():
+    for j0, q in enumerate(quotients):
+        if q.is_constant() and not q.is_zero():
             got = attempt(j0)
             if got is not None:
                 return got
     # fallback: expand E_w/d over the columns with bounded-degree multipliers
-    sol = bounded_syzygy_solve(matrix.cols(), euler_col, f.total_degree() + n)
+    sol = bounded_syzygy_solve(matrix.cols(), euler_col, f.total_degree() + f.ctx.nvars)
     if sol.particular is not None:
         for j0, h in enumerate(sol.particular):
             if h.is_constant() and not h.is_zero():

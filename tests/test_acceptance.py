@@ -123,7 +123,7 @@ def test_criterion_03_hilbert_burch_minors_equal_gradient():
         f = parse_poly("x^2*y - y^2*z", ctx)
         verdict = euler3_divisor(f, (1, -2, 4))
         assert verdict.is_free and verdict.hilbert_burch is not None
-        minors = verdict.hilbert_burch.matrix.signed_maximal_minors()
+        minors = helpers.signed_maximal_minors(verdict.hilbert_burch.matrix)
         expected = (
             parse_poly("2*x*y", ctx),
             parse_poly("x^2 - 2*y*z", ctx),

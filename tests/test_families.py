@@ -6,6 +6,7 @@ beta*alpha + u*beta + t*alpha, matrix entries from the construction tables,
 and product expansions by direct multiplication.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,7 @@ from freediv.families import (
     triangular_extend,
 )
 
-from helpers import CASES, make_rng
+from helpers import CASES, make_rng, signed_maximal_minors
 
 
 def mat(ctx: Context, rows) -> PolyMatrix:
@@ -92,7 +93,7 @@ def hilbert_burch_oracle(monkeypatch):
 
     def checking(divisor, matrix, scalar):
         expected = [g.scale(scalar) for g in divisor.gradient()]
-        assert matrix.signed_maximal_minors() == expected
+        assert signed_maximal_minors(matrix) == expected
         checked.append(matrix.nrows)
         return build(divisor, matrix, scalar)
 
@@ -307,7 +308,7 @@ class TestEuler3:
             ["-2*y", "0"],
             ["4*z", "-x"],
         ])
-        assert hb.matrix.signed_maximal_minors() == [
+        assert signed_maximal_minors(hb.matrix) == [
             parse_poly("2*x*y", ctx),
             parse_poly("x^2 - 2*y*z", ctx),
             parse_poly("-y^2", ctx),
@@ -329,7 +330,7 @@ class TestEuler3:
         verdict = euler3_divisor(f, (0, 1, -1))
         assert verdict.is_free
         assert "one vanishing coefficient at x" in verdict.reason
-        assert verdict.hilbert_burch.matrix.signed_maximal_minors() == list(f.gradient())
+        assert signed_maximal_minors(verdict.hilbert_burch.matrix) == list(f.gradient())
 
     def test_one_zero_permuted(self):
         # zero coefficient in the middle slot: f = x*z*(y^2 - x*z).
@@ -338,7 +339,7 @@ class TestEuler3:
         verdict = euler3_divisor(f, (1, 0, -1))
         assert verdict.is_free
         assert "one vanishing coefficient at y" in verdict.reason
-        assert verdict.hilbert_burch.matrix.signed_maximal_minors() == list(f.gradient())
+        assert signed_maximal_minors(verdict.hilbert_burch.matrix) == list(f.gradient())
 
     def test_one_zero_not_free(self):
         # f = x*(x^2 - y*z)*(x^2 - 2*y*z): df/dx has the pure term 5*x^4.
@@ -728,6 +729,18 @@ class TestCompose:
             "the substituted divisor is not reduced"
         )
 
+    def test_repeated_factor_of_a_substituent_is_not_squarefree(self):
+        # [x^2, y] into y1*y2: the cofactor is 1, so no factor gcd finds a
+        # shared factor, and squarefree_gcd of x^2*y names the repeated x
+        ctx = Context(("x", "y"))
+        x, y = ctx.gens()
+        hctx = Context(("y1", "y2"))
+        outer = frame_divisor(list(hctx.gens()), mat(hctx, [["y1", "0"], ["0", "y2"]]))
+        with pytest.raises(VerificationError) as exc:
+            compose_factors((x ** 2, y), outer)
+        assert exc.value.kind == "not_squarefree"
+        assert exc.value.witness == x
+
     def test_iterated_plane_curves_share_a_factor(self):
         # f1, f2, f3 as unit multiples of x^2 - y^3, y^2 - x^3, f1^3 + f2^2:
         # substitution into y1*y2*y3*(y1^3 + y2^2) repeats the factor
@@ -798,6 +811,19 @@ class TestSumCompose:
         assert out.product == s * t * (s + t)
         assert tuple(out.factors) == (s, t, s + t)
 
+    def test_each_matrix_is_verified_once(self, bareiss_oracle):
+        # per call, the strict frame of each side, the juxtaposed pair and
+        # the composed frame; the outer frame of y1*y2*(y1 + y2) once
+        freediv.families._sum_outer_frame.cache_clear()
+        sides = []
+        for names in (("x1", "x2"), ("y1", "y2")):
+            f = parse_poly("*".join(names), Context(names))
+            sides.append(frame_divisor([f], normal_crossing_matrix(f), weight=(1, 1)))
+        bareiss_oracle.clear()
+        for _ in range(2):
+            sum_compose(*sides)
+        assert len(bareiss_oracle) == 9
+
     def test_rejects_shared_names(self):
         cx = Context(("x", "y"))
         cy = Context(("y",))
@@ -849,6 +875,15 @@ class TestJets:
                 e = cert.matrix.entry(i, j)
                 assert e.is_zero() or e.total_degree() <= 1
         assert cert.log_quotients == (0, 0, 6, 0, 0, 1)
+
+    def test_public_jets_verify_the_frame_twice_and_the_jets_once(self, bareiss_oracle):
+        # euler_frame verifies the matrix and the strict frame; multi_jet_extend
+        # re-validates the supplied Hilbert-Burch matrix and verifies the jets
+        ctx = Context(("x1", "x2"))
+        f = parse_poly("x1*x2", ctx)
+        bareiss_oracle.clear()
+        multi_jet_extend(f, _nc_hb(f, (1, 2)), (1, 2), 2)
+        assert bareiss_oracle == [2, 2, 2, 6]
 
     def test_tangent_of_a_line(self):
         ctx = Context(("x",))
@@ -1089,7 +1124,8 @@ class TestIterate:
         seq = iterate_tangent(parse_poly("x1*x2", ctx), (1, 1), 3)
         assert seq[3].divisor.ctx.nvars == 16
         assert seq[3].det_scalar == 8
-        assert max(bareiss_oracle) == 16
+        # the seed, then per step the strict frame and the jet matrix
+        assert Counter(bareiss_oracle) == {2: 2, 4: 2, 8: 2, 16: 1}
         assert hilbert_burch_oracle == [2, 4, 8]
 
 

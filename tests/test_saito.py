@@ -3,6 +3,7 @@ Hilbert-Burch extraction, and free multiples from scaled-Jacobian syzygies."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from freediv.families import (
     multi_jet_extend,
     sum_compose,
 )
+from freediv.linalg import bounded_syzygy_solve
 from freediv.matrices import InternalCheckError, PolyMatrix
 from freediv.poly import (
     Context,
@@ -43,7 +45,8 @@ from freediv.saito import (
     xifi_generators,
 )
 
-from helpers import make_rng
+import helpers
+from helpers import make_rng, signed_maximal_minors
 
 XYZ = Context(["x", "y", "z"])
 F = Fraction
@@ -576,7 +579,7 @@ def test_euler_frame_normal_crossing():
     assert fd.matrix.col(0) == tuple(ctx.var(nm).scale(F(1, 3)) for nm in ctx.names)
     hb = hilbert_burch_from_framed(fd)
     assert hb.scalar == 1
-    assert hb.matrix.signed_maximal_minors() == list(f.gradient())
+    assert signed_maximal_minors(hb.matrix) == list(f.gradient())
 
 
 def test_euler_frame_takes_no_polynomial_determinant(det_calls):
@@ -593,8 +596,8 @@ def test_euler_frame_derived_example_hilbert_burch():
     fd = euler_frame(f, [1, 1, 1], mat)
     assert column_roles(fd) == ["euler:0", "annihilator", "annihilator"]
     hb = hilbert_burch_from_framed(fd)
-    assert hb.matrix.signed_maximal_minors() == [P("2*x*y"), P("x^2 - 2*y*z"), P("-y^2")]
-    assert hb.matrix.signed_maximal_minors() == list(f.gradient())
+    assert signed_maximal_minors(hb.matrix) == [P("2*x*y"), P("x^2 - 2*y*z"), P("-y^2")]
+    assert signed_maximal_minors(hb.matrix) == list(f.gradient())
 
 
 def test_euler_frame_single_variable():
@@ -603,7 +606,7 @@ def test_euler_frame_single_variable():
     fd = euler_frame(f, [1], PolyMatrix.diagonal([f]))
     hb = hilbert_burch_from_framed(fd)
     assert hb.matrix.ncols == 0
-    assert hb.matrix.signed_maximal_minors() == [ctx.const(1)]
+    assert signed_maximal_minors(hb.matrix) == [ctx.const(1)]
 
 
 def test_euler_frame_weight_preconditions():
@@ -633,6 +636,38 @@ def test_euler_frame_syzygy_fallback(monkeypatch):
     assert column_roles(fd) == ["euler:0", "annihilator"]
 
 
+def test_euler_frame_falls_back_after_a_det_mismatch(monkeypatch):
+    # D0 = (3/2*x, -1/2*y) has D0(f) = f, but exchanging it for E/2 leaves
+    # the determinant x*y*(1 - x); the syzygy fallback exchanges D1 instead
+    ctx = Context(["x", "y"])
+    failures = []
+    frame = freediv.saito.frame_divisor
+
+    def recording(factors, matrix, weight=None):
+        try:
+            return frame(factors, matrix, weight=weight)
+        except VerificationError as e:
+            failures.append(e.kind)
+            raise
+
+    monkeypatch.setattr(freediv.saito, "frame_divisor", recording)
+    fd = euler_frame(P("x*y", ctx), [1, 1], M([["3/2*x", "1/2*x^2 - (1 - x)*x"],
+                                                ["-1/2*y", "1/2*x*y + (1 - x)*y"]], ctx))
+    assert failures == ["det_mismatch"]
+    assert fd.certificate.det_scalar == -1
+    assert column_roles(fd) == ["euler:0", "annihilator"]
+
+
+def test_euler_frame_without_a_unit_exchange_raises():
+    # the quotients are 1 and -1, and E/2 = (1 + x)*D0 + x*D1, so neither
+    # column can be exchanged for E/2 with a unit multiple of f left
+    ctx = Context(["x", "y"])
+    matrix = M([["1/2*x - x^2", "-1/2*x + x + x^2"], ["1/2*y + x*y", "-1/2*y - y - x*y"]], ctx)
+    assert verify_saito(P("x*y", ctx), matrix).log_quotients == (ctx.const(1), ctx.const(-1))
+    with pytest.raises(FramingError, match="no column admits a scalar exchange"):
+        euler_frame(P("x*y", ctx), [1, 1], matrix)
+
+
 # ---------------------------------------------------------------------------
 # the Hilbert-Burch scalar from the frame's certificate
 # ---------------------------------------------------------------------------
@@ -640,15 +675,14 @@ def test_euler_frame_syzygy_fallback(monkeypatch):
 
 @pytest.fixture
 def minors_calls(monkeypatch):
-    """Count full expansions of the signed maximal minors."""
+    """Count full expansions of the signed maximal minors by the oracle."""
     calls = []
-    minors = PolyMatrix.signed_maximal_minors
 
-    def counting(self):
-        calls.append(self.nrows)
-        return minors(self)
+    def counting(matrix):
+        calls.append(matrix.nrows)
+        return signed_maximal_minors(matrix)
 
-    monkeypatch.setattr(PolyMatrix, "signed_maximal_minors", counting)
+    monkeypatch.setattr(helpers, "signed_maximal_minors", counting)
     return calls
 
 
@@ -661,7 +695,7 @@ def test_hilbert_burch_and_jets_take_no_determinant_and_no_minors(det_calls, min
     assert minors_calls == []
     assert det_calls == []
     assert cert.divisor.ctx.nvars == 9
-    assert PolyMatrix.signed_maximal_minors(hb.matrix) == list(f.gradient())
+    assert signed_maximal_minors(hb.matrix) == list(f.gradient())
 
 
 def test_certificate_scalar_agrees_with_the_full_minors(det_calls):
@@ -705,10 +739,10 @@ def test_certificate_scalar_agrees_with_the_full_minors(det_calls):
             by_bareiss += 1
         lam = u._det_bareiss().constant_value()
         assert fd.certificate.det_scalar == lam * scale * f.weighted_degree(w)
-        assert PolyMatrix.signed_maximal_minors(bu) == [g.scale(lam) for g in f.gradient()]
+        assert signed_maximal_minors(bu) == [g.scale(lam) for g in f.gradient()]
         hb = hilbert_burch_from_framed(fd)
         assert hb.scalar == 1
-        assert PolyMatrix.signed_maximal_minors(hb.matrix) == list(f.gradient())
+        assert signed_maximal_minors(hb.matrix) == list(f.gradient())
     assert by_lemma >= 10 and by_bareiss >= 5
 
 
@@ -789,6 +823,22 @@ def test_free_multiple_symmetric_quadric():
     cert = free_multiple_via_xifi(f)
     assert cert.divisor == P("x*y*z") * f
     assert cert.det_scalar != 0
+
+
+def test_saito_from_xifi_certifies_the_subset_the_search_picks():
+    # the first 2-subset of the bounded syzygies that saito_from_xifi accepts
+    # gives the certificate of free_multiple_via_xifi
+    f = P("x*y + x*z + y*z")
+    basis = bounded_syzygy_solve(xifi_generators(f), XYZ.zero(), 1).basis
+    for subset in combinations(range(len(basis)), 2):
+        syzygies = PolyMatrix(XYZ, [[basis[k][i] for k in subset] for i in range(3)])
+        try:
+            cert = saito_from_xifi(f, syzygies)
+        except VerificationError:
+            continue
+        break
+    assert cert.det_scalar == -4
+    assert certificate_to_json(cert) == certificate_to_json(free_multiple_via_xifi(f))
 
 
 def test_free_multiple_stops_at_a_repeated_factor(monkeypatch):

@@ -20,10 +20,15 @@ membership, bounded syzygies, the scalar obstruction): it alone calls
 `obstruction.py` substitutes only to build the transformed form.  The
 scalar of a Hilbert-Burch matrix is read from a verified Saito certificate:
 no function of freediv expands the signed maximal minors (the test oracle
-`PolyMatrix.signed_maximal_minors`), only Saito's lemma
+`signed_maximal_minors` of `tests/helpers.py`), only Saito's lemma
 `saito._det_scalar_by_lemma` takes the point determinant `_ratio_at_point`,
 and only the verification core `saito._verify_factors` runs the column
-kernel `_gradient_quotients`."""
+kernel `_gradient_quotients`.  The constructions of `families.py` verify a
+certificate they hold no second time: no function of `families.py` calls
+`euler_frame`, which verifies its matrix before it frames it (they frame the
+certificate they hold with `saito._strict_frame`), and only `tangent_extend`
+calls `multi_jet_extend` there, whose re-validation of a supplied
+Hilbert-Burch matrix is for user data."""
 from __future__ import annotations
 
 import ast
@@ -223,3 +228,11 @@ def test_hilbert_burch_scalars_come_from_the_certificate():
     assert _callers("signed_maximal_minors") == set()
     assert _callers("_ratio_at_point") == {("saito.py", "_det_scalar_by_lemma")}
     assert _callers("_gradient_quotients") == {("saito.py", "_verify_factors")}
+
+
+def test_families_verify_no_certificate_twice():
+    # iterate_tangent and sum_compose frame the certificates they hold, and
+    # iterate_tangent builds its jets from the frame it has just built
+    assert {scope for module, scope in _callers("euler_frame") if module == "families.py"} == set()
+    assert {scope for module, scope in _callers("multi_jet_extend")
+            if module == "families.py"} == {"tangent_extend"}
