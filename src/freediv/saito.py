@@ -40,7 +40,9 @@ A FramedDivisor couples a factored divisor with a verified Saito matrix plus
 the exact per-column, per-factor logarithmic multipliers, which are the
 quotients of the factor-wise check.  euler_frame normalizes any Saito matrix
 of a weighted-homogeneous divisor into the strict shape
-[E_w/d | annihilators], from which hilbert_burch_from_framed extracts the
+[E_w/d | annihilators] by exchanging one column for E_w/d, which the
+determinant of the candidate decides (see _strict_frame; no syzygy is
+solved), and from which hilbert_burch_from_framed extracts the
 (n)x(n-1) block whose signed maximal minors reproduce the gradient.  The
 scalar of those minors is read from the frame's certificate, with no minor
 expanded (see hilbert_burch_from_framed); the test suite's exact expansion of
@@ -324,8 +326,9 @@ def column_roles(fd: FramedDivisor) -> list[str]:
 def euler_frame(f: Poly, weight: Sequence, matrix: PolyMatrix) -> FramedDivisor:
     """Normalize a Saito matrix of a w-homogeneous divisor to [E_w/d | annihilators].
 
-    The weights are checked before the matrix is verified, and
-    _strict_frame normalizes the certificate."""
+    The weights are checked before the matrix is verified; _strict_frame
+    then exchanges one column for E_w/d, or raises FramingError when no
+    column admits a scalar exchange."""
     w = tuple(Fraction(x) for x in weight)
     _euler_column(f, w)
     return _strict_frame(verify_saito(f, matrix), w)
@@ -343,42 +346,31 @@ def _strict_frame(cert: SaitoCertificate, w: tuple[Fraction, ...]) -> FramedDivi
     """The strict frame [E_w/d | annihilators] from a verified certificate of
     a w-homogeneous divisor; the certificate is not verified again.
 
-    Candidate columns with scalar logarithmic quotient are swapped out for the
-    normalized Euler column E_w/d; the remaining columns are corrected to
-    annihilators by subtracting their quotient times E_w/d.  Each candidate is
-    accepted only if the determinant stays a unit multiple of f.  When no
-    single column works, E_w/d is expanded over the columns by a bounded
-    syzygy solve and the pivot is chosen from that expansion.
+    The candidate for column j0 exchanges A_j0 for E = E_w/d and corrects
+    every other column A_j to the annihilator A_j - q_j * E, with q_j its
+    logarithmic quotient.  The columns with a nonzero constant q_j are tried
+    first, then the rest, each group in index order, and the first candidate
+    that verifies is the frame.  The loop is complete: det A = c * f != 0, so
+    A is invertible over Q(x) and E = sum_j h_j A_j for unique rational h_j.
+    Subtracting multiples of the column E leaves the determinant unchanged,
+    so the candidate has det = h_j0 * det[A_j0 | the other A_j] =
+    (-1)^j0 * h_j0 * c * f.  Its columns are logarithmic (E(f) = f, and the
+    others annihilate f) and f is reduced, so it verifies exactly when h_j0
+    is a nonzero constant; FramingError when no h_j is.
     """
-    f, matrix, quotients = cert.divisor, cert.matrix, cert.log_quotients
+    f, quotients = cert.divisor, cert.log_quotients
     euler_col = _euler_column(f, w)
-
-    def attempt(j0: int) -> FramedDivisor | None:
-        cols = [euler_col] + [[a - quotients[j] * e for a, e in zip(col, euler_col)]
-                              for j, col in enumerate(matrix.cols()) if j != j0]
+    cols = cert.matrix.cols()
+    for j0 in sorted(range(len(cols)), key=lambda j: quotients[j].is_zero()
+                     or not quotients[j].is_constant()):
+        candidate = [euler_col] + [[a - quotients[j] * e for a, e in zip(col, euler_col)]
+                                   for j, col in enumerate(cols) if j != j0]
         try:
-            return frame_divisor([f], PolyMatrix(f.ctx, list(zip(*cols))), weight=w)
+            return frame_divisor([f], PolyMatrix(f.ctx, list(zip(*candidate))), weight=w)
         except VerificationError as e:
             if e.kind != "det_mismatch":
                 raise
-            return None
-
-    for j0, q in enumerate(quotients):
-        if q.is_constant() and not q.is_zero():
-            got = attempt(j0)
-            if got is not None:
-                return got
-    # fallback: expand E_w/d over the columns with bounded-degree multipliers
-    sol = bounded_syzygy_solve(matrix.cols(), euler_col, f.total_degree() + f.ctx.nvars)
-    if sol.particular is not None:
-        for j0, h in enumerate(sol.particular):
-            if h.is_constant() and not h.is_zero():
-                got = attempt(j0)
-                if got is not None:
-                    return got
-    raise FramingError(
-        "no column admits a scalar exchange with the Euler field within the bound"
-    )
+    raise FramingError("no column admits a scalar exchange with the Euler field")
 
 
 @dataclass(frozen=True)

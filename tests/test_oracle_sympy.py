@@ -7,7 +7,9 @@ row reduction for rref and for the solution and kernel basis of `_solve`, on der
 and dense rational systems; and its determinant for the integer elimination
 of `fraction_det`, beside the Fraction loop that elimination replaced, and
 for the integer Bareiss loop `_bareiss` behind it and behind the point
-determinants of `saito`."""
+determinants of `saito`; and its polynomial determinants and cancellation
+(Cramer's rule) for the column that `euler_frame` exchanges for the Euler
+field, on derandomized unimodular transforms of normal crossings."""
 from __future__ import annotations
 
 import math
@@ -19,13 +21,15 @@ from hypothesis import given, settings, strategies as st
 from freediv.linalg import _bareiss, _solve, fraction_det, rref
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
-    Context, Poly, _integer_form, divide_exact, normalize_primitive, poly_gcd,
+    Context, Poly, _integer_form, divide_exact, normalize_primitive, poly_gcd, poly_product,
     squarefree_gcd, squarefree_on_line, substitute,
 )
+from freediv.saito import FramingError, euler_frame
 
 from helpers import CASES, make_rng, rand_nonzero, rand_poly
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 CTX = Context(["x", "y", "z", "w"])
 SYMS = sympy.symbols(CTX.names)
@@ -405,3 +409,70 @@ def test_integer_bareiss_agrees_with_sympy():
         assert type(got) is int and got == expected, m
         singular += got == 0
     assert singular >= 5
+
+
+def _unimodular_frames(salt: int, count: int):
+    """(f, w, A) with f = x_1...x_n, n = 2 or 3, positive integer weights w,
+    and A = diag(x_i) U, U unimodular: elementary column operations with
+    constant or linear multipliers, column scalings and a column permutation."""
+    rng = make_rng(salt)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        ctx = Context(CTX.names[:n])
+        u = [[ctx.const(int(i == j)) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(n), 2)
+            p = rand_nonzero(rng, ctx, max_terms=2, max_deg=1, coeff_bound=2)
+            for row in u:
+                row[j] = row[j] + p * row[i]
+        scales = [Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))) for _ in range(n)]
+        perm = rng.sample(range(n), n)
+        u = [[row[j].scale(scales[j]) for j in perm] for row in u]
+        xs = ctx.gens()
+        yield (poly_product(ctx, xs), [rng.randint(1, 3) for _ in range(n)],
+               PolyMatrix.diagonal(xs) @ PolyMatrix(ctx, u))
+
+
+def _constant_ratio(num, den) -> Fraction | None:
+    """num / den for sympy ring elements, reduced by sympy's cancel: a
+    Fraction when it is a constant, else None."""
+    p, q = num.cancel(den)
+    if not (p.is_ground and q.is_ground):
+        return None
+    r = p.LC / q.LC
+    return Fraction(int(r.numerator), int(r.denominator))
+
+
+def test_euler_frame_exchange_agrees_with_sympy():
+    # E_w/d = sum_j h_j A_j over Q(x), h_j by Cramer's rule; the exchange of
+    # column j0 verifies exactly when h_j0 is a nonzero constant, and then
+    # det = (-1)^j0 * h_j0 * det A.  The loop tries the columns with a nonzero
+    # constant logarithmic quotient q_j first, each group in index order
+    outcomes = []
+    for f, w, a in _unimodular_frames(130, 60):
+        n = f.ctx.nvars
+        ring = sympy.QQ[SYMS[:n]]
+
+        def element(p):
+            return ring.ring.from_dict({e: ring.domain(c.numerator, c.denominator)
+                                        for e, c in p.items()})
+
+        big_a, fx = [[element(e) for e in row] for row in a.rows], element(f)
+        det_a = DomainMatrix(big_a, (n, n), ring).det()
+        euler = [ring.domain(wi, sum(w)) * x for wi, x in zip(w, ring.gens)]
+        h = [_constant_ratio(DomainMatrix([row[:j] + [e] + row[j + 1:] for row, e in
+                                           zip(big_a, euler)], (n, n), ring).det(), det_a)
+             for j in range(n)]
+        q = [_constant_ratio(sum((fx.diff(i) * row[j] for i, row in enumerate(big_a)), ring.zero),
+                             fx) for j in range(n)]
+        unit = [j for j in sorted(range(n), key=lambda j: not q[j]) if h[j]]
+        if not unit:
+            with pytest.raises(FramingError):
+                euler_frame(f, w, a)
+            outcomes.append("framing")
+            continue
+        j0 = unit[0]
+        scalar = (-1) ** j0 * h[j0] * _constant_ratio(det_a, fx)
+        assert euler_frame(f, w, a).certificate.det_scalar == scalar
+        outcomes.append("scalar quotient" if q[j0] else "other")
+    assert all(outcomes.count(k) >= 5 for k in ("framing", "scalar quotient", "other"))

@@ -19,7 +19,7 @@ from freediv.families import (
     sum_compose,
 )
 from freediv.linalg import bounded_syzygy_solve
-from freediv.matrices import InternalCheckError, PolyMatrix
+from freediv.matrices import InternalCheckError, PolyMatrix, block_diagonal
 from freediv.poly import (
     Context,
     NotHomogeneousError,
@@ -618,11 +618,9 @@ def test_euler_frame_weight_preconditions():
         euler_frame(parse_poly("x1*x2 + x1", ctx), [1, 1], diag)
 
 
-def test_euler_frame_syzygy_fallback(monkeypatch):
-    # diag(x, y) times a unimodular matrix: no column has a scalar logarithmic
-    # quotient, but E/2 = (c0 + c1)/2, which the bounded syzygy solve finds
-    ctx = Context(["x", "y"])
-    f = parse_poly("x*y", ctx)
+@pytest.fixture
+def bounds(monkeypatch):
+    """The degree bound of every bounded syzygy solve that saito runs."""
     bounds = []
     solve = freediv.saito.bounded_syzygy_solve
 
@@ -631,15 +629,12 @@ def test_euler_frame_syzygy_fallback(monkeypatch):
         return solve(gens, target, bound)
 
     monkeypatch.setattr(freediv.saito, "bounded_syzygy_solve", recording)
-    fd = euler_frame(f, [1, 1], M([["x - x^2", "x^2"], ["-x*y", "y + x*y"]], ctx))
-    assert bounds == [4]  # deg f + number of variables
-    assert column_roles(fd) == ["euler:0", "annihilator"]
+    return bounds
 
 
-def test_euler_frame_falls_back_after_a_det_mismatch(monkeypatch):
-    # D0 = (3/2*x, -1/2*y) has D0(f) = f, but exchanging it for E/2 leaves
-    # the determinant x*y*(1 - x); the syzygy fallback exchanges D1 instead
-    ctx = Context(["x", "y"])
+@pytest.fixture
+def frame_failures(monkeypatch):
+    """The kind of every VerificationError that frame_divisor raises in saito."""
     failures = []
     frame = freediv.saito.frame_divisor
 
@@ -651,11 +646,48 @@ def test_euler_frame_falls_back_after_a_det_mismatch(monkeypatch):
             raise
 
     monkeypatch.setattr(freediv.saito, "frame_divisor", recording)
-    fd = euler_frame(P("x*y", ctx), [1, 1], M([["3/2*x", "1/2*x^2 - (1 - x)*x"],
-                                                ["-1/2*y", "1/2*x*y + (1 - x)*y"]], ctx))
-    assert failures == ["det_mismatch"]
+    return failures
+
+
+def test_euler_frame_exchanges_a_column_without_a_scalar_quotient(bounds):
+    # diag(x, y) times a unimodular matrix: no column has a scalar logarithmic
+    # quotient, but E/2 = (c0 + c1)/2, so the exchange of column 0 leaves
+    # det = 1/2 * det A; the determinant decides it, with no syzygy solve
+    ctx = Context(["x", "y"])
+    fd = euler_frame(P("x*y", ctx), [1, 1], M([["x - x^2", "x^2"], ["-x*y", "y + x*y"]], ctx))
+    assert bounds == []
+    assert fd.certificate.det_scalar == F(1, 2)
+    assert column_roles(fd) == ["euler:0", "annihilator"]
+    assert fd.matrix == M([["1/2*x", "-1/2*x"], ["1/2*y", "1/2*y"]], ctx)
+
+
+_DET_MISMATCH_BLOCK = [["3/2*{x}", "1/2*{x}^2 - (1 - {x})*{x}"],
+                       ["-1/2*{y}", "1/2*{x}*{y} + (1 - {x})*{y}"]]
+
+
+def test_euler_frame_falls_back_after_a_det_mismatch(frame_failures):
+    # D0 = (3/2*x, -1/2*y) has D0(f) = f, but exchanging it for E/2 leaves
+    # the determinant x*y*(1 - x); the loop then exchanges D1 instead
+    ctx = Context(["x", "y"])
+    matrix = M([[e.format(x="x", y="y") for e in row] for row in _DET_MISMATCH_BLOCK], ctx)
+    fd = euler_frame(P("x*y", ctx), [1, 1], matrix)
+    assert frame_failures == ["det_mismatch"]
     assert fd.certificate.det_scalar == -1
     assert column_roles(fd) == ["euler:0", "annihilator"]
+
+
+def test_euler_frame_exchanges_without_a_syzygy_solve_in_four_variables(frame_failures, bounds):
+    # the matrix above on (x1, y1) and on (x2, y2): both columns with quotient
+    # 1 fail the determinant, and the first other column is exchanged, found
+    # by its determinant with no syzygy solve
+    ctx = Context(["x1", "y1", "x2", "y2"])
+    matrix = block_diagonal([M([[e.format(x=x, y=y) for e in row] for row in _DET_MISMATCH_BLOCK],
+                               ctx) for x, y in (("x1", "y1"), ("x2", "y2"))])
+    fd = euler_frame(P("x1*y1*x2*y2", ctx), [1, 1, 1, 1], matrix)
+    assert frame_failures == ["det_mismatch", "det_mismatch"]
+    assert fd.certificate.det_scalar == F(-1, 2)
+    assert column_roles(fd) == ["euler:0"] + ["annihilator"] * 3
+    assert bounds == []
 
 
 def test_euler_frame_without_a_unit_exchange_raises():
@@ -664,7 +696,8 @@ def test_euler_frame_without_a_unit_exchange_raises():
     ctx = Context(["x", "y"])
     matrix = M([["1/2*x - x^2", "-1/2*x + x + x^2"], ["1/2*y + x*y", "-1/2*y - y - x*y"]], ctx)
     assert verify_saito(P("x*y", ctx), matrix).log_quotients == (ctx.const(1), ctx.const(-1))
-    with pytest.raises(FramingError, match="no column admits a scalar exchange"):
+    with pytest.raises(FramingError,
+                       match="^no column admits a scalar exchange with the Euler field$"):
         euler_frame(P("x*y", ctx), [1, 1], matrix)
 
 

@@ -28,7 +28,9 @@ certificate they hold no second time: no function of `families.py` calls
 `euler_frame`, which verifies its matrix before it frames it (they frame the
 certificate they hold with `saito._strict_frame`), and only `tangent_extend`
 calls `multi_jet_extend` there, whose re-validation of a supplied
-Hilbert-Burch matrix is for user data."""
+Hilbert-Burch matrix is for user data.  The strict Euler frame is decided by
+the determinant of each exchange: within `saito.py`, only
+`free_multiple_via_xifi` calls `bounded_syzygy_solve`."""
 from __future__ import annotations
 
 import ast
@@ -236,3 +238,10 @@ def test_families_verify_no_certificate_twice():
     assert {scope for module, scope in _callers("euler_frame") if module == "families.py"} == set()
     assert {scope for module, scope in _callers("multi_jet_extend")
             if module == "families.py"} == {"tangent_extend"}
+
+
+def test_the_strict_frame_solves_no_syzygies():
+    # saito._strict_frame decides each exchange by the candidate's
+    # determinant; the bounded syzygy solve only serves the x_1...x_n f search
+    assert {scope for module, scope in _callers("bounded_syzygy_solve")
+            if module == "saito.py"} == {"free_multiple_via_xifi"}
