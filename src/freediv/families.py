@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .poly import (
@@ -198,18 +199,38 @@ def _binomial_saito(
     """Divisor and square matrix for X y^u z^t (c1 x^a y^alpha + c2 x^b z^beta).
 
     Variables of ctx outside x_idx + {y_idx, z_idx} receive identity columns,
-    so the construction embeds into any ambient context.
+    so the construction embeds into any ambient context.  Every entry is read
+    from exponent vectors, with no polynomial product: with A and B the
+    exponents of x^a y^alpha and x^b z^beta, L that of X y^u z^t and e_v the
+    unit vector of v,
+
+    * f = {L+A: c1, L+B: c2} and g = {A: c1, B: c2};
+    * p = u*g + {A+(u-1)e_y: alpha*c1} and q = t*g + {B+(t-1)e_z: beta*c2},
+      summed by Context.sum, so that for u = 1 (t = 1) the two terms at A
+      (at B) merge;
+    * -(y^u) q and z^t p are q and p shifted by u*e_y and t*e_z.
+
+    Terms, values and term order are those of the products that they stand
+    for.
     """
     xs = [ctx.var(ctx.names[i]) for i in x_idx]
     y = ctx.var(ctx.names[y_idx])
     z = ctx.var(ctx.names[z_idx])
-    mono_a = poly_product(ctx, [x ** e for x, e in zip(xs, a)])
-    mono_b = poly_product(ctx, [x ** e for x, e in zip(xs, b)])
-    g = (mono_a * y ** alpha).scale(c1) + (mono_b * z ** beta).scale(c2)
-    f = poly_product(ctx, xs) * y ** u * z ** t * g
-    p = g.scale(u) + (mono_a * y ** (alpha - 1 + u)).scale(alpha * c1)
-    q = g.scale(t) + (mono_b * z ** (beta - 1 + t)).scale(beta * c2)
     nall = ctx.nvars
+    A, B, L = [0] * nall, [0] * nall, [0] * nall
+    for i, ai, bi in zip(x_idx, a, b):
+        A[i], B[i], L[i] = ai, bi, 1
+    A[y_idx], B[z_idx], L[y_idx], L[z_idx] = alpha, beta, u, t
+    f = Poly(ctx, {tuple(map(add, L, A)): c1, tuple(map(add, L, B)): c2})
+    g = Poly(ctx, {tuple(A): c1, tuple(B): c2})
+    A[y_idx] += u - 1
+    B[z_idx] += t - 1
+    p = g.scale(u) + Poly(ctx, {tuple(A): alpha * c1})
+    q = g.scale(t) + Poly(ctx, {tuple(B): beta * c2})
+
+    def shifted(h: Poly, v: int, k: int) -> Poly:
+        return Poly(ctx, {e[:v] + (e[v] + k,) + e[v + 1:]: c for e, c in h.items()})
+
     zero = ctx.zero()
     rows = [[zero] * nall for _ in range(nall)]
     special = set(x_idx) | {y_idx, z_idx}
@@ -218,8 +239,8 @@ def _binomial_saito(
         rows[z_idx][i] = z.scale(Fraction(a[k] - b[k], beta))
     rows[y_idx][y_idx] = y.scale(beta)
     rows[z_idx][y_idx] = z.scale(alpha)
-    rows[y_idx][z_idx] = -(y ** u) * q
-    rows[z_idx][z_idx] = (z ** t) * p
+    rows[y_idx][z_idx] = -shifted(q, y_idx, u)
+    rows[z_idx][z_idx] = shifted(p, z_idx, t)
     for i in range(nall):
         if i not in special:
             rows[i][i] = ctx.const(1)

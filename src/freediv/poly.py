@@ -30,7 +30,9 @@ and the primitive part of the divisor, sums every image (grad g) . A_j from
 packed products in _mul_loop and divides it in _divide_loop.  Each builds
 Fractions only for what it returns.  Every sum of polynomials, `+` included,
 is Context.sum: the terms accumulate in one dict (_add_into, which the
-integer sums share), not in a copy per addition.
+integer sums share), not in a copy per addition.  A one-term polynomial c*x^e
+raised to k is c^k*x^(k*e) in one step, and the parser multiplies one-term
+factors by adding exponents; neither runs a product.
 
 This module is the only one that reads Poly.terms; the rest of freediv goes
 through Poly's methods (items, coeff, support, lead_exponent, num_terms), so
@@ -303,6 +305,9 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if not is_integer(k) or k < 0:
             raise PolyError(f"exponent must be a non-negative integer, got {k!r}")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Poly(self.ctx, {tuple([k * x for x in e]): c ** k})
         result = self.ctx.const(1)
         base = self
         while k:
@@ -1197,7 +1202,12 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.factor()
+                q = self.factor()
+                if len(p.terms) == len(q.terms) == 1:
+                    ((ep, cp),), ((eq, cq),) = p.terms.items(), q.terms.items()
+                    p = Poly(self.ctx, {tuple(map(add, ep, eq)): cp * cq})
+                else:
+                    p = p * q
             else:
                 return p
 

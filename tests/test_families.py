@@ -6,6 +6,7 @@ beta*alpha + u*beta + t*alpha, matrix entries from the construction tables,
 and product expansions by direct multiplication.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ from freediv.families import (
     triangular_extend,
 )
 
-from helpers import CASES, make_rng, signed_maximal_minors
+from helpers import CASES, binomial_saito_by_products, make_rng, same, signed_maximal_minors
 
 
 def mat(ctx: Context, rows) -> PolyMatrix:
@@ -211,6 +212,52 @@ class TestBinomialDivisor:
             expected = spec.beta * spec.alpha + spec.u * spec.beta + spec.t * spec.alpha
             assert cert.det_scalar == expected
             assert cert.matrix.nrows == n + 2
+
+
+BINOMIAL_COEFFS = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(3)]
+
+
+def _coprime_exponents(rng, n):
+    a, b = [], []
+    for _ in range(n):
+        k = rng.randrange(4)
+        a, b = (a + [k], b + [0]) if rng.random() < 0.5 else (a + [0], b + [k])
+    return tuple(a), tuple(b)
+
+
+def test_binomial_saito_matches_the_product_construction():
+    # _binomial_saito reads every entry from exponent vectors; the product
+    # construction it replaced must give the same divisor and entries: terms,
+    # values, term order and Fraction coefficients
+    def check(ctx, *args):
+        f, m = freediv.families._binomial_saito(ctx, *args)
+        f_ref, m_ref = binomial_saito_by_products(ctx, *args)
+        assert same(f, f_ref), args
+        assert (m.nrows, m.ncols) == (m_ref.nrows, m_ref.ncols) == (ctx.nvars, ctx.nvars)
+        for row, row_ref in zip(m.rows, m_ref.rows):
+            assert all(map(same, row, row_ref)), args
+
+    pairs = [(i, j) for i in range(4) for j in range(4) if min(i, j) == 0]
+    coeffs = itertools.cycle(itertools.product(BINOMIAL_COEFFS, repeat=2))
+    for n in (0, 1):
+        for ab, alpha, beta, u, t in itertools.product(
+            itertools.product(pairs, repeat=n), range(1, 4), range(1, 4), (0, 1), (0, 1)
+        ):
+            a, b = tuple(p[0] for p in ab), tuple(p[1] for p in ab)
+            ctx = Context(BinomialSpec(n, a, b, alpha, beta, u, t).variable_names())
+            check(ctx, range(n), n, n + 1, a, b, alpha, beta, u, t, *next(coeffs))
+    rng = make_rng(211)
+    for k in range(100):
+        n = 2 + k % 2
+        a, b = _coprime_exponents(rng, n)
+        params = (a, b, rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(2), rng.randrange(2),
+                  rng.choice(BINOMIAL_COEFFS), rng.choice(BINOMIAL_COEFFS))
+        check(Context(BinomialSpec(n, *params[:6]).variable_names()), range(n), n, n + 1, *params)
+        # embedded: shuffled indices and one or two extra identity variables
+        order = list(range(n + 2 + rng.randrange(1, 3)))
+        rng.shuffle(order)
+        ctx = Context(f"v{i}" for i in range(len(order)))
+        check(ctx, order[:n], order[n], order[n + 1], *params)
 
 
 class TestIsFreeBinomial:

@@ -1,4 +1,5 @@
-"""The integer kernels of `Poly.__mul__`, `divide_exact`, `Poly.evaluate` and
+"""The one-term paths of `Poly.__pow__` and of the parser's products, the
+integer kernels of `Poly.__mul__`, `divide_exact`, `Poly.evaluate` and
 `Poly.weighted_degree`, the line restriction `_on_line`, the one-dict sums
 of `Context.sum`, the integer chains of `poly_product` and `substitute`, the
 column kernel `_gradient_quotients` and the point rows of `_evaluate_rows`,
@@ -16,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from freediv.matrices import PolyMatrix
 from freediv.poly import (
-    LINE_PRIME, Context, NotHomogeneousError, Poly, PolyError, _evaluate_rows, _exp_div, _gradient_quotients,
+    LINE_PRIME, Context, NotHomogeneousError, ParseError, Poly, PolyError, _evaluate_rows, _exp_div, _gradient_quotients,
     _integer_columns, _integer_form, _interpolate_mod, _on_line, divide_exact, grevlex_key, parse_poly,
     poly_product, sample_ints, star, substitute,
 )
 
-from helpers import CASES, make_rng, rand_poly
+from helpers import CASES, make_rng, rand_poly, same
 
 # ---------------------------------------------------------------------------
 # the reference loops: every coefficient a Fraction, every step a Fraction op
@@ -191,12 +192,6 @@ def ref_weighted_degree(p: Poly, weights) -> Fraction:
             f"not homogeneous for weights {tuple(map(str, w))}: degrees {sorted(map(str, degs))}"
         )
     return degs.pop()
-
-
-def same(p: Poly, q: Poly) -> bool:
-    """Equal terms, equal values, the same insertion order, and Fractions only."""
-    return (p.ctx == q.ctx and list(p.terms.items()) == list(q.terms.items())
-            and all(type(c) is Fraction for c in p.terms.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -714,3 +709,81 @@ def test_column_kernel_widens_the_fields(big):
     got, expected = _gradient_quotients(g, _integer_columns(ok.cols())), ref_column_quotients(g, ok)
     assert len(got) == 2 and all(map(same, got, expected))
     assert got[1].is_zero() and not got[0].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# one-term powers and the parser's monomial products
+# ---------------------------------------------------------------------------
+
+
+def ref_pow(p: Poly, k: int) -> Poly:
+    out = p.ctx.const(1)
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 300])
+def test_one_term_power_agrees_with_the_reference_fold(k):
+    x, y, z = XYZ.gens()
+    for p in (x, XYZ.monomial((2, 0, 1), -1), XYZ.monomial((0, 3, 1), Fraction(-3, 2)),
+              XYZ.monomial((1, 1, 1), Fraction(2, 5)), XYZ.const(Fraction(-7, 3)), Context([]).const(-2)):
+        assert same(p ** k, ref_pow(p, k)), (p, k)
+    assert (x.scale(Fraction(-1, 2)) ** 7).coeff((7, 0, 0)) == Fraction(-1, 128)
+
+
+def test_power_of_zero_and_bad_exponents():
+    zero = XYZ.zero()
+    assert same(zero ** 0, XYZ.const(1)) and same(zero ** 0, ref_pow(zero, 0))
+    assert (zero ** 3).is_zero()
+    for p in (X, X + Y):
+        for k in (True, False, -1, -3, 1.0):
+            with pytest.raises(PolyError) as ei:
+                p ** k
+            assert str(ei.value) == f"exponent must be a non-negative integer, got {k!r}"
+
+
+def _ref_parse_product(factors, ctx):
+    out = ctx.const(1)
+    for text in factors:
+        out = ref_mul(out, parse_poly(text, ctx))
+    return out
+
+
+PARSER_FACTORS = ["0", "1", "2", "-3", "1/2", "-3/4", "x", "y", "z", "-x", "+y", "x^2", "y^3",
+                  "-z^2", "2^3", "(1/2)^2", "(-1/2)", "x^0", "(x+y)", "(y-z)", "(x - 1/2)",
+                  "(x+y)^2", "--z"]
+
+
+@pytest.mark.parametrize("factors", [
+    ["0", "x"], ["x", "0"], ["-x", "-y"], ["(-1/2)", "x^2", "y"], ["2^3", "x"],
+    ["x", "(y+z)", "x^2"], ["x", "y", "z", "x"],
+])
+def test_parser_products_agree_with_the_reference_fold(factors):
+    got = parse_poly("*".join(factors), XYZ)
+    assert same(got, _ref_parse_product(factors, XYZ))
+
+
+def test_random_parser_products_agree_with_the_reference_fold():
+    rng = make_rng(307)
+    for _ in range(200):
+        factors = [rng.choice(PARSER_FACTORS) for _ in range(rng.randint(2, 5))]
+        text = rng.choice(["*", " * ", "* "]).join(factors)
+        assert same(parse_poly(text, XYZ), _ref_parse_product(factors, XYZ)), text
+
+
+@pytest.mark.parametrize("text, pos, message", [
+    ("x*", 2, "unexpected end of input"),
+    ("x**y", 2, "unexpected '*'"),
+    ("x*^2", 2, "unexpected '^'"),
+    ("2*x^-1", 4, "expected a non-negative integer exponent"),
+    ("x*(y", 4, "expected ')'"),
+    ("x*/2", 2, "unexpected '/'"),
+    ("x*y*w", 4, "unknown variable 'w' (context: x, y, z)"),
+    ("3*x*", 4, "unexpected end of input"),
+])
+def test_parse_errors_in_products_keep_their_positions(text, pos, message):
+    with pytest.raises(ParseError) as ei:
+        parse_poly(text, XYZ)
+    assert ei.value.pos == pos
+    assert str(ei.value) == f"{message} at position {pos}: {text[:pos]}>>>{text[pos:]}"

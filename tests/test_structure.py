@@ -30,7 +30,10 @@ certificate they hold with `saito._strict_frame`), and only `tangent_extend`
 calls `multi_jet_extend` there, whose re-validation of a supplied
 Hilbert-Burch matrix is for user data.  The strict Euler frame is decided by
 the determinant of each exchange: within `saito.py`, only
-`free_multiple_via_xifi` calls `bounded_syzygy_solve`."""
+`free_multiple_via_xifi` calls `bounded_syzygy_solve`.  The binomial
+divisor and its Saito matrix are read from exponent vectors:
+`families._binomial_saito` raises nothing to a power with `**` and calls no
+`poly_product`."""
 from __future__ import annotations
 
 import ast
@@ -245,3 +248,19 @@ def test_the_strict_frame_solves_no_syzygies():
     # determinant; the bounded syzygy solve only serves the x_1...x_n f search
     assert {scope for module, scope in _callers("bounded_syzygy_solve")
             if module == "saito.py"} == {"free_multiple_via_xifi"}
+
+
+def test_the_binomial_matrix_is_read_from_exponent_vectors():
+    # every entry of the binomial Saito matrix has a closed-form exponent and
+    # coefficient, so no power and no product chain builds it
+    path = next(p for p in MODULES if p.name == "families.py")
+    fn = next(node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.FunctionDef) and node.name == "_binomial_saito")
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            found.append((node.lineno, "**"))
+        elif isinstance(node, ast.Call) and "poly_product" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, "poly_product"))
+    assert found == []
